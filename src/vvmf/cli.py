@@ -112,8 +112,11 @@ def _series_by_name(name: str, precision: int) -> QSeries:
 
 def _operator_from_args(args) -> Mmde:
     if getattr(args, "operator", None):
-        with open(args.operator, "r", encoding="utf-8") as fh:
-            return Mmde.from_record(json.load(fh))
+        try:
+            with open(args.operator, "r", encoding="utf-8") as fh:
+                return Mmde.from_record(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+            raise PreconditionError("cannot read operator file %r: %r" % (args.operator, e)) from e
     if not getattr(args, "roots", None):
         raise PreconditionError("supply --roots or --operator")
     roots = args.roots

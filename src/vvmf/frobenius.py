@@ -9,6 +9,7 @@ denominators never vanish.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .classify import RationalAngle
 from .deriv import VvmfVector
@@ -80,25 +81,38 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
     if [row[0] for row in table] != list(ind) + [Fraction(1)]:
         raise InternalCheckError("theta form constant terms disagree with indicial polynomial")
 
-    def poly_q(u, x):
-        acc = Fraction(0)
-        for i in range(n, -1, -1):
-            acc = acc * x + table[i][u]
-        return acc
-
+    # With C the lcm of the table denominators and lam = p/q, the shift value
+    # W(u, t) = C q^n sum_i table[i][u] (lam + t)^i is an integer polynomial
+    # in x = p + q t, and C q^n cancels in a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s).
+    # The recursion runs on integers A_t over a running denominator M = prod W(0, s).
+    c = lcm(*(v.denominator for row in table for v in row))
+    ints = [[v.numerator * (c // v.denominator) for v in row] for row in table]
     comps = []
     for lam in roots:
-        a = [Fraction(1)]
+        p, q = lam.numerator, lam.denominator
+        rows = [[ints[i][u] * q ** (n - i) for i in range(n, -1, -1)] for u in range(precision + 1)]
+
+        def w(u, t):
+            x = p + q * t
+            acc = 0
+            for v in rows[u]:
+                acc = acc * x + v
+            return acc
+
+        nums = [1]
+        m = 1
         for s in range(1, precision + 1):
-            acc = Fraction(0)
-            for t in range(s):
-                if a[t]:
-                    acc += a[t] * poly_q(s - t, lam + t)
-            den = poly_q(0, lam + s)
+            acc = 0
+            for t, a in enumerate(nums):
+                if a:
+                    acc += a * w(s - t, t)
+            den = w(0, s)
             if den == 0:
                 raise InternalCheckError("recursion denominator vanished at a congruent shift")
-            a.append(-acc / den)
-        comps.append(QSeries(lam, a))
+            nums = [a * den for a in nums]
+            nums.append(-acc)
+            m *= den
+        comps.append(QSeries(lam, [Fraction(a, m) for a in nums]))
     exps = [lam - lam.__floor__() for lam in roots]
     return VvmfVector(L.weight, comps, exps)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .deriv import dkn_constants, modular_derivative
+from .deriv import modular_derivative
 from .errors import InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .qseries import QSeries, _rat, mul
@@ -36,13 +36,6 @@ def _poly_from_roots(roots):
     for r in roots:
         p = _poly_mul_linear(p, r)
     return p
-
-
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
 
 
 class EisensteinOperator:
@@ -151,21 +144,9 @@ class Mmde:
 
 
 def _theta_poly_constants(m: int, k) -> list:
-    """Ascending coefficients of the degree-m indicial polynomial of D_k^m."""
-    if m == 0:
-        return [Fraction(1)]
-    consts = dkn_constants(m, k)
-    ff = [Fraction(1)]
-    poly = [Fraction(0)]
-    for j in range(m + 1):
-        cj = consts[j] if j < m else Fraction(1)
-        while len(poly) < len(ff):
-            poly.append(Fraction(0))
-        if cj:
-            for i, a in enumerate(ff):
-                poly[i] += cj * a
-        ff = _poly_mul_linear(ff, j)
-    return poly
+    """Ascending coefficients of the degree-m indicial polynomial of D_k^m,
+    which is prod_{i<m} (x - (k + 2i)/12)."""
+    return _poly_from_roots(Fraction(k + 2 * i, 12) for i in range(m))
 
 
 def indicial_polynomial(L) -> tuple:

@@ -269,7 +269,7 @@ def _lowered(coeffs):
     d = 1
     for c in coeffs:
         d = _lcm(d, c.denominator)
-    return [int(c * d) for c in coeffs] if d > 1 else [c.numerator for c in coeffs], d
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:

@@ -101,6 +101,24 @@ def test_operator_file_round_trip(capsys, tmp_path):
     assert again == doc
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", '{"order": 2}', '{"order": 2, "weight": "1/0", "alphas": ["0"]}'],
+    ids=["missing", "non_json", "no_weight", "zero_denominator"],
+)
+def test_operator_file_errors_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "op.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc = main(["mmde", "solve", "--operator", str(path), "--precision", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("precondition violated: cannot read operator file")
+    assert str(path) in lines[0]
+
+
 def test_wronskian(capsys):
     doc = run_json(capsys, ["wronskian", "--roots", "1/12,5/12", "--precision", "8"])
     assert doc["exponent_sum"] == "1/2"

@@ -24,6 +24,33 @@ from vvmf import (
 )
 
 
+def reference_solve(L, precision):
+    """Frobenius recursion in Fractions: Horner's rule on every shift and
+    one exact division per coefficient."""
+    roots = sorted(L.indicial_roots)
+    hs = theta_form(L, precision)
+    n = len(hs) - 1
+    table = [[hs[i].coefficient_at(Fraction(u)) for u in range(precision + 1)] for i in range(n + 1)]
+
+    def poly_q(u, x):
+        acc = Fraction(0)
+        for i in range(n, -1, -1):
+            acc = acc * x + table[i][u]
+        return acc
+
+    comps = []
+    for lam in roots:
+        a = [Fraction(1)]
+        for s in range(1, precision + 1):
+            acc = Fraction(0)
+            for t in range(s):
+                if a[t]:
+                    acc += a[t] * poly_q(s - t, lam + t)
+            a.append(-acc / poly_q(0, lam + s))
+        comps.append(QSeries(lam, a))
+    return comps
+
+
 def test_theta_form_order_one():
     op = unique_operator([1])
     hs = theta_form(op, 8)
@@ -105,3 +132,15 @@ def test_monodromy_rejects_zero_component():
     V = VvmfVector(2, [QSeries.zero(5)], (Fraction(0),))
     with pytest.raises(PreconditionError):
         monodromy_T(V)
+
+
+def test_solve_matches_fraction_recursion(mmde_corpus):
+    ops = [L for _, L in mmde_corpus[:20]]
+    assert {L.order for L in ops} == {2, 3, 4, 5}
+    exps = [Fraction(n, 22) for n in (2, 5, 8, 19, 21)]
+    ops.append(appendix_family(exps, Fraction(-7, 3)))
+    ops.append(unique_operator([Fraction(1, 5), Fraction(1, 7)]))
+    assert ops[-1].weight.denominator != 1
+    for L in ops:
+        F = solve_fundamental_system(L, 30)
+        assert list(F.components) == reference_solve(L, 30)

@@ -14,9 +14,11 @@ from vvmf import (
     appendix_family,
     apply,
     delta,
+    dkn_constants,
     indicial_polynomial,
     unique_operator,
 )
+from vvmf.mmde import _theta_poly_constants
 
 
 def test_operator_guards():
@@ -169,3 +171,24 @@ def test_appendix_family_cusp_shift_on_constants():
     assert apply(appendix_family(lam, 0), one).is_zero
     residual = apply(appendix_family(lam, 1), one)
     assert (residual - delta(12)).is_zero
+
+
+def probe_theta_poly_constants(m, k):
+    """The indicial polynomial of D_k^m from probed constants: sum_j
+    f_{m,j}(0) times the falling factorial (x)_j, with f_{m,m} = 1."""
+    consts = list(dkn_constants(m, k)) + [Fraction(1)] if m else [Fraction(1)]
+    poly = [Fraction(0)] * (m + 1)
+    falling = [Fraction(1)]
+    for j, c in enumerate(consts):
+        for i, a in enumerate(falling):
+            poly[i] += c * a
+        falling = [Fraction(0)] + falling
+        for i in range(len(falling) - 1):
+            falling[i] -= j * falling[i + 1]
+    return poly
+
+
+@pytest.mark.parametrize("k", [0, 4, -3, Fraction(1, 2), Fraction(37, 35), Fraction(-11, 6)])
+def test_theta_poly_constants_match_probe(k):
+    for m in range(8):
+        assert _theta_poly_constants(m, Fraction(k)) == probe_theta_poly_constants(m, Fraction(k))
