@@ -1,4 +1,4 @@
-"""Pure Python twin of the compiled convolution kernel."""
+"""Integer convolution kernel: the innermost loop of series multiplication."""
 
 
 def convolve(a, b, n_out):

@@ -114,9 +114,12 @@ def _operator_from_args(args) -> Mmde:
     if getattr(args, "operator", None):
         try:
             with open(args.operator, "r", encoding="utf-8") as fh:
-                return Mmde.from_record(json.load(fh))
+                L = Mmde.from_record(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
             raise PreconditionError("cannot read operator file %r: %r" % (args.operator, e)) from e
+        if L.order > _MAX_CLI_ORDER:
+            raise UnsupportedInputError("operators beyond order 6 are not supported")
+        return L
     if not getattr(args, "roots", None):
         raise PreconditionError("supply --roots or --operator")
     roots = args.roots
@@ -125,7 +128,7 @@ def _operator_from_args(args) -> Mmde:
     L = unique_operator(roots)
     cusp = getattr(args, "cusp", None)
     if cusp is not None and cusp != 0:
-        L = Mmde(L.base, cusp_c=cusp, roots=L.indicial_roots)
+        L = Mmde(L.order, L.weight, L.alphas, cusp_c=cusp, roots=L.indicial_roots)
     return L
 
 

@@ -15,20 +15,18 @@ from .classify import RationalAngle
 from .deriv import VvmfVector
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
-from .mmde import EisensteinOperator, Mmde, indicial_polynomial
+from .mmde import Mmde, indicial_polynomial
 from .qseries import QSeries, mul, q_derivative
 
 
 def theta_form(L, precision: int) -> list:
     """Coefficients H_0..H_n with L = sum_i H_i(q) theta^i, each known to
     the requested precision."""
-    base = L.base if isinstance(L, Mmde) else L
-    cusp = L.cusp_c if isinstance(L, Mmde) else None
-    if not isinstance(base, EisensteinOperator):
+    if not isinstance(L, Mmde):
         raise PreconditionError("expected an operator")
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
-    n, k = base.order, base.weight
+    n, k = L.order, L.weight
     e2 = eisenstein(2, precision)
     prefixes = [[QSeries.one(precision)]]
     for t in range(n):
@@ -41,15 +39,15 @@ def theta_form(L, precision: int) -> list:
         prefixes.append(new)
     out = list(prefixes[n])
     for l in range(2, n + 1):
-        alpha = base.alphas[l - 2]
+        alpha = L.alphas[l - 2]
         if alpha == 0:
             continue
         el = eisenstein(2 * l, precision)
         part = prefixes[n - l]
         for i, a in enumerate(part):
             out[i] = out[i] + alpha * mul(el, a)
-    if cusp is not None:
-        out[0] = out[0] + cusp * delta(precision)
+    if L.cusp_c is not None:
+        out[0] = out[0] + L.cusp_c * delta(precision)
     if not (out[n].beta == 0 and out[n].coefficient_at(Fraction(0)) == 1):
         raise InternalCheckError("theta form lost monicity")
     return out

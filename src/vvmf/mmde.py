@@ -38,50 +38,26 @@ def _poly_from_roots(roots):
     return p
 
 
-class EisensteinOperator:
-    """Monic operator D_k^n + sum alpha_{2l} E_{2l} D_k^{n-l}."""
-
-    def __init__(self, order: int, weight, alphas):
-        if not isinstance(order, int) or order < 1:
-            raise PreconditionError("order must be an integer >= 1")
-        self.order = order
-        self.weight = _rat(weight)
-        self.alphas = tuple(_rat(a) for a in alphas)
-        if len(self.alphas) != order - 1:
-            raise PreconditionError("expected %d Eisenstein coefficients" % (order - 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, EisensteinOperator):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.weight == other.weight
-            and self.alphas == other.alphas
-        )
-
-    def __repr__(self) -> str:
-        return "EisensteinOperator(order=%d, weight=%s, alphas=%r)" % (
-            self.order,
-            self.weight,
-            tuple(str(a) for a in self.alphas),
-        )
-
-
 class Mmde:
-    """An Eisenstein-form operator, optionally with a cusp term c*Delta.
+    """Monic operator D_k^n + sum alpha_{2l} E_{2l} D_k^{n-l}, optionally
+    with a cusp term c*Delta.
 
     The cusp deformation only exists at order 6, where Delta first has the
     right weight.  Indicial roots are cached when known at construction and
     otherwise recovered by exact rational root extraction.
     """
 
-    def __init__(self, base: EisensteinOperator, cusp_c=None, roots=None):
-        if not isinstance(base, EisensteinOperator):
-            raise PreconditionError("base must be an EisensteinOperator")
-        self.base = base
+    def __init__(self, order: int, weight, alphas, cusp_c=None, roots=None):
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+            raise PreconditionError("order must be an integer >= 1")
+        self.order = order
+        self.weight = _rat(weight)
+        self.alphas = tuple(_rat(a) for a in alphas)
+        if len(self.alphas) != order - 1:
+            raise PreconditionError("expected %d Eisenstein coefficients" % (order - 1))
         if cusp_c is not None:
             cusp_c = _rat(cusp_c)
-            if base.order != 6:
+            if order != 6:
                 raise PreconditionError("a cusp term requires order exactly 6")
             if cusp_c == 0:
                 cusp_c = None
@@ -89,20 +65,8 @@ class Mmde:
         self._roots = None
         if roots is not None:
             self._roots = tuple(sorted(_rat(r) for r in roots))
-            if len(self._roots) != base.order:
+            if len(self._roots) != order:
                 raise PreconditionError("need one indicial root per order")
-
-    @property
-    def order(self) -> int:
-        return self.base.order
-
-    @property
-    def weight(self):
-        return self.base.weight
-
-    @property
-    def alphas(self):
-        return self.base.alphas
 
     @property
     def indicial_roots(self):
@@ -125,22 +89,26 @@ class Mmde:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Mmde":
-        base = EisensteinOperator(rec["order"], rec["weight"], rec.get("alphas", ()))
-        cusp = rec.get("cusp_c")
-        roots = rec.get("indicial_roots")
-        out = cls(base, cusp_c=cusp, roots=None)
-        if roots is not None:
-            roots = tuple(sorted(_rat(r) for r in roots))
-            if len(roots) != base.order:
-                raise PreconditionError("need one indicial root per order")
+        out = cls(
+            rec["order"],
+            rec["weight"],
+            rec.get("alphas", ()),
+            cusp_c=rec.get("cusp_c"),
+            roots=rec.get("indicial_roots"),
+        )
+        if out._roots is not None:
             poly = list(indicial_polynomial(out)) + [Fraction(1)]
-            if _poly_from_roots(roots) != poly:
+            if _poly_from_roots(out._roots) != poly:
                 raise PreconditionError("stored indicial roots do not match the operator")
-            out._roots = roots
         return out
 
     def __repr__(self) -> str:
-        return "Mmde(base=%r, cusp_c=%r)" % (self.base, None if self.cusp_c is None else str(self.cusp_c))
+        return "Mmde(order=%d, weight=%s, alphas=%r, cusp_c=%r)" % (
+            self.order,
+            self.weight,
+            tuple(str(a) for a in self.alphas),
+            None if self.cusp_c is None else str(self.cusp_c),
+        )
 
 
 def _theta_poly_constants(m: int, k) -> list:
@@ -151,13 +119,12 @@ def _theta_poly_constants(m: int, k) -> list:
 
 def indicial_polynomial(L) -> tuple:
     """Coefficients A_0..A_{n-1} of the monic indicial polynomial of L."""
-    base = L.base if isinstance(L, Mmde) else L
-    if not isinstance(base, EisensteinOperator):
+    if not isinstance(L, Mmde):
         raise PreconditionError("expected an operator")
-    n, k = base.order, base.weight
+    n, k = L.order, L.weight
     poly = _theta_poly_constants(n, k)
     for l in range(2, n + 1):
-        a = base.alphas[l - 2]
+        a = L.alphas[l - 2]
         if a == 0:
             continue
         part = _theta_poly_constants(n - l, k)
@@ -203,8 +170,7 @@ def unique_operator(roots) -> Mmde:
                 rem[i] -= a * v
     if any(rem):
         raise InternalCheckError("Eisenstein recursion left a nonzero remainder")
-    base = EisensteinOperator(n, k, alphas)
-    return Mmde(base, cusp_c=None, roots=roots)
+    return Mmde(n, k, alphas, roots=roots)
 
 
 def appendix_family(exponents, c) -> Mmde:
@@ -223,29 +189,26 @@ def appendix_family(exponents, c) -> Mmde:
             "exponent sum must be 5/2 so the order-5 factor has weight 2"
         )
     alphas6 = tuple(l5.alphas) + (Fraction(0),)
-    base = EisensteinOperator(6, 0, alphas6)
-    return Mmde(base, cusp_c=c, roots=[Fraction(0)] + lam5)
+    return Mmde(6, 0, alphas6, cusp_c=c, roots=[Fraction(0)] + lam5)
 
 
 def apply(L, f: QSeries) -> QSeries:
     """Residual series L f, computed through the derivative ladder."""
-    base = L.base if isinstance(L, Mmde) else L
-    cusp = L.cusp_c if isinstance(L, Mmde) else None
     if not isinstance(f, QSeries):
         raise PreconditionError("operand must be a QSeries")
-    n, k = base.order, base.weight
+    n, k = L.order, L.weight
     ladder = [f]
     for i in range(n):
         ladder.append(modular_derivative(ladder[-1], k + 2 * i))
     out = ladder[n]
     for l in range(2, n + 1):
-        a = base.alphas[l - 2]
+        a = L.alphas[l - 2]
         if a == 0:
             continue
         g = ladder[n - l]
         out = out + a * mul(eisenstein(2 * l, g.precision), g)
-    if cusp is not None:
-        out = out + cusp * mul(delta(f.precision), f)
+    if L.cusp_c is not None:
+        out = out + L.cusp_c * mul(delta(f.precision), f)
     return out
 
 

@@ -67,10 +67,22 @@ def test_mmde_construct(capsys):
     assert op["indicial_roots"] == ["1/12", "5/12"]
 
 
-def test_mmde_order_cap(capsys):
+def test_mmde_order_cap(capsys, tmp_path):
     roots = ",".join("%d/13" % n for n in range(1, 8))
     rc, _ = run_cli(capsys, ["mmde", "construct", "--roots", roots])
     assert rc == 3
+    # an operator file is held to the same cap
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"order": 30, "weight": "0", "alphas": ["0"] * 29}), encoding="utf-8")
+    rc, out = run_cli(capsys, ["mmde", "construct", "--operator", str(path)])
+    assert rc == 3 and out == ""
+
+
+def test_operator_file_boolean_order_exits_2(capsys, tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text('{"order": true, "weight": "4", "alphas": []}', encoding="utf-8")
+    rc, out = run_cli(capsys, ["mmde", "construct", "--operator", str(path)])
+    assert rc == 2 and out == ""
 
 
 def test_mmde_solve_congruent_roots(capsys):

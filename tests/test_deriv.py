@@ -18,6 +18,7 @@ from vvmf import (
     iterate_derivative,
     modular_derivative,
     mul,
+    q_derivative,
 )
 
 
@@ -26,6 +27,8 @@ def test_ramanujan_identities():
     e4, e6 = eisenstein(4, n), eisenstein(6, n)
     assert modular_derivative(e4, 4) == Fraction(-1, 3) * e6
     assert modular_derivative(e6, 6) == Fraction(-1, 2) * mul(e4, e4)
+    e2 = eisenstein(2, n)
+    assert q_derivative(e2) == Fraction(1, 12) * (mul(e2, e2) - e4)
     assert modular_derivative(delta(n), 12).is_zero
     assert modular_derivative(QSeries.one(n), 0).is_zero
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from vvmf import (
-    EisensteinOperator,
     Mmde,
     PreconditionError,
     QSeries,
@@ -23,23 +22,23 @@ from vvmf.mmde import _theta_poly_constants
 
 def test_operator_guards():
     with pytest.raises(PreconditionError):
-        EisensteinOperator(0, 4, ())
+        Mmde(0, 4, ())
     with pytest.raises(PreconditionError):
-        EisensteinOperator(3, 4, (1,))  # needs order-1 coefficients
+        Mmde(True, 4, ())  # a bool is not an order
     with pytest.raises(PreconditionError):
-        Mmde("not an operator")
-    base = EisensteinOperator(2, 2, (Fraction(-1, 48),))
+        Mmde(3, 4, (1,))  # needs order-1 coefficients
     with pytest.raises(PreconditionError):
-        Mmde(base, cusp_c=1)  # cusp term only at order 6
+        Mmde("not an operator", 4, ())
     with pytest.raises(PreconditionError):
-        Mmde(base, roots=(Fraction(1, 12),))
-    assert Mmde(base, cusp_c=None).cusp_c is None
+        Mmde(2, 2, (Fraction(-1, 48),), cusp_c=1)  # cusp term only at order 6
+    with pytest.raises(PreconditionError):
+        Mmde(2, 2, (Fraction(-1, 48),), roots=(Fraction(1, 12),))
+    assert Mmde(2, 2, (Fraction(-1, 48),), cusp_c=None).cusp_c is None
 
 
 def test_cusp_zero_collapses_to_none():
-    base = EisensteinOperator(6, 0, (0, 0, 0, 0, 0))
-    assert Mmde(base, cusp_c=0).cusp_c is None
-    assert Mmde(base, cusp_c=Fraction(2, 3)).cusp_c == Fraction(2, 3)
+    assert Mmde(6, 0, (0, 0, 0, 0, 0), cusp_c=0).cusp_c is None
+    assert Mmde(6, 0, (0, 0, 0, 0, 0), cusp_c=Fraction(2, 3)).cusp_c == Fraction(2, 3)
 
 
 def test_unique_operator_order_two():
@@ -66,7 +65,7 @@ def test_unique_operator_permutation_invariant():
     roots = [Fraction(7, 10), Fraction(1, 5), Fraction(-1, 2), Fraction(9, 10)]
     a = unique_operator(roots)
     b = unique_operator(list(reversed(roots)))
-    assert a.base == b.base
+    assert (a.order, a.weight, a.alphas) == (b.order, b.weight, b.alphas)
     assert a.indicial_roots == b.indicial_roots
 
 
@@ -78,13 +77,13 @@ def test_unique_operator_needs_a_root():
 def test_indicial_roots_recovered_without_cache():
     roots = [0, Fraction(1, 4), Fraction(5, 6), Fraction(3, 2)]
     op = unique_operator(roots)
-    fresh = Mmde(EisensteinOperator(op.order, op.weight, op.alphas))
+    fresh = Mmde(op.order, op.weight, op.alphas)
     assert fresh.indicial_roots == tuple(sorted(Fraction(r) for r in roots))
 
 
 def test_irrational_indicial_roots_rejected():
     # indicial polynomial x^2 - 2: weight -1 with alpha_4 = -287/144
-    op = Mmde(EisensteinOperator(2, -1, (Fraction(-287, 144),)))
+    op = Mmde(2, -1, (Fraction(-287, 144),))
     assert indicial_polynomial(op) == (Fraction(-2), Fraction(0))
     with pytest.raises(PreconditionError):
         op.indicial_roots
@@ -100,13 +99,15 @@ def test_record_round_trip():
         "indicial_roots": ["1/12", "5/12"],
     }
     back = Mmde.from_record(rec)
-    assert back.base == op.base and back.indicial_roots == op.indicial_roots
+    assert (back.order, back.weight, back.alphas) == (op.order, op.weight, op.alphas)
+    assert back.indicial_roots == op.indicial_roots
 
     fam = appendix_family([Fraction(n, 6) for n in range(1, 6)], Fraction(-3))
     rec2 = fam.to_record()
     assert rec2["cusp_c"] == "-3"
     back2 = Mmde.from_record(rec2)
-    assert back2.base == fam.base and back2.cusp_c == Fraction(-3)
+    assert (back2.order, back2.weight, back2.alphas) == (fam.order, fam.weight, fam.alphas)
+    assert back2.cusp_c == Fraction(-3)
 
 
 def test_record_rejects_wrong_roots():
