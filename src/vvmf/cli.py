@@ -112,6 +112,8 @@ def _series_by_name(name: str, precision: int) -> QSeries:
 
 def _operator_from_args(args) -> Mmde:
     if getattr(args, "operator", None):
+        if getattr(args, "roots", None) is not None or getattr(args, "cusp", None) is not None:
+            raise PreconditionError("--operator cannot be combined with --roots or --cusp")
         try:
             with open(args.operator, "r", encoding="utf-8") as fh:
                 L = Mmde.from_record(json.load(fh))

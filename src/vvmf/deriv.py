@@ -29,11 +29,12 @@ class VvmfVector:
                 raise PreconditionError("components must be QSeries")
             if f.den != 1:
                 raise PreconditionError("components must live on the integer grid")
-        exps = tuple(_rat(x) for x in exponents)
+        # tuples from lists, not generators: see qseries._raw
+        exps = tuple([_rat(x) for x in exponents])
         if len(exps) != len(comps):
             raise PreconditionError("one recorded exponent per component")
         n = min(f.precision for f in comps)
-        comps = tuple(f.truncated(n) for f in comps)
+        comps = tuple([f.truncated(n) for f in comps])
         for f, lam in zip(comps, exps):
             if f.is_zero:
                 continue

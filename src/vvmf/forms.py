@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InternalCheckError, PreconditionError
-from .qseries import QSeries, _rat, mul
+from .qseries import QSeries, _rat, _series, mul
 
 _bernoulli: list[Fraction] = [Fraction(1)]
 
@@ -83,7 +83,7 @@ def eta_power(exponent, precision: int) -> QSeries:
             c = c * (e - m + 1) / m
             factor_coeffs[n * m] = c if m % 2 == 0 else -c
         prod = mul(prod, QSeries(0, factor_coeffs))
-    return QSeries(e / 24, prod.coeffs)
+    return _series(e / 24, 1, prod.nums, prod.scale)
 
 
 def delta(precision: int) -> QSeries:

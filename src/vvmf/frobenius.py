@@ -16,7 +16,7 @@ from .deriv import VvmfVector
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .mmde import Mmde, indicial_polynomial
-from .qseries import QSeries, mul, q_derivative
+from .qseries import QSeries, _series, mul, q_derivative
 
 
 def theta_form(L, precision: int) -> list:
@@ -74,17 +74,24 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
                 )
     hs = theta_form(L, precision)
     n = len(hs) - 1
-    table = [[hs[i].coefficient_at(Fraction(u)) for u in range(precision + 1)] for i in range(n + 1)]
+    # ints[i][u] = C times the coefficient of q^u in H_i, with C the lcm of
+    # the scales, read straight off the numerators at offset beta.
+    c = lcm(*(h.scale for h in hs))
+    ints = []
+    for h in hs:
+        off = int(h.beta)
+        if h.den != 1 or off != h.beta or off < 0 or off + h.precision < precision:
+            raise InternalCheckError("theta form left the integer grid or the window")
+        m = c // h.scale
+        ints.append([0] * off + [x * m for x in h.nums[: precision + 1 - off]])
     ind = indicial_polynomial(L)
-    if [row[0] for row in table] != list(ind) + [Fraction(1)]:
+    if [Fraction(row[0], c) for row in ints] != list(ind) + [Fraction(1)]:
         raise InternalCheckError("theta form constant terms disagree with indicial polynomial")
 
-    # With C the lcm of the table denominators and lam = p/q, the shift value
-    # W(u, t) = C q^n sum_i table[i][u] (lam + t)^i is an integer polynomial
-    # in x = p + q t, and C q^n cancels in a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s).
-    # The recursion runs on integers A_t over a running denominator M = prod W(0, s).
-    c = lcm(*(v.denominator for row in table for v in row))
-    ints = [[v.numerator * (c // v.denominator) for v in row] for row in table]
+    # With lam = p/q, the shift value W(u, t) = C q^n sum_i H_i[u] (lam + t)^i
+    # is an integer polynomial in x = p + q t, and C q^n cancels in
+    # a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s).  The recursion runs on
+    # integers A_t over a running denominator M = prod W(0, s).
     comps = []
     for lam in roots:
         p, q = lam.numerator, lam.denominator
@@ -110,7 +117,7 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
             nums = [a * den for a in nums]
             nums.append(-acc)
             m *= den
-        comps.append(QSeries(lam, [Fraction(a, m) for a in nums]))
+        comps.append(_series(lam, 1, nums, m))
     exps = [lam - lam.__floor__() for lam in roots]
     return VvmfVector(L.weight, comps, exps)
 

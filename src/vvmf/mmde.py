@@ -194,6 +194,8 @@ def appendix_family(exponents, c) -> Mmde:
 
 def apply(L, f: QSeries) -> QSeries:
     """Residual series L f, computed through the derivative ladder."""
+    if not isinstance(L, Mmde):
+        raise PreconditionError("expected an operator")
     if not isinstance(f, QSeries):
         raise PreconditionError("operand must be a QSeries")
     n, k = L.order, L.weight

@@ -6,10 +6,24 @@ series produced by the modular machinery; it only becomes larger when two
 series on incongruent exponent grids are added, and canonicalization
 reduces it back as soon as the populated exponents allow.
 
+The coefficients are stored as integer numerators over one common scale:
+c_t = nums[t] / scale.  Every operation works on these integers and
+normalizes the content once at the end, instead of building and reducing
+one Fraction per coefficient.  The canonical form is unique, so == and
+hash compare integers:
+
+- scale > 0 and gcd(scale, *nums) == 1, so scale is the lcm of the reduced
+  coefficient denominators;
+- leading zero coefficients are absorbed into beta, so nums[0] != 0 unless
+  the series is zero;
+- the zero series has beta = 0, den = 1 and scale = 1;
+- the grid is as coarse as the populated exponents allow.
+
 Precision is the number of known grid steps past the base exponent: the
 series is known exactly on the window [beta, beta + precision/den] and
 unknown beyond it.  Every operation propagates the window pessimistically.
-All values are immutable and all operations are pure.
+All values are immutable and all operations are pure; ``coeffs`` gives the
+coefficients as reduced Fractions, computed on each access.
 """
 
 from __future__ import annotations
@@ -39,10 +53,74 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def _raw(beta: Fraction, den: int, nums: tuple, scale: int) -> "QSeries":
+    """A series from fields that are already in canonical form.
+
+    nums tuples are built from lists, never from generators: a tuple grown
+    from a generator is resized outside the tuple free list, so freeing it
+    grows that list, which pins memory for the life of the process.
+    """
+    out = object.__new__(QSeries)
+    out.beta = beta
+    out.den = den
+    out.nums = nums
+    out.scale = scale
+    return out
+
+
+def _series(beta: Fraction, den: int, nums, scale: int) -> "QSeries":
+    """The canonical series q^beta * sum_t (nums[t] / scale) q^(t/den).
+
+    Absorbs leading zeros into beta, resets the zero series to beta = 0,
+    coarsens the grid when possible and divides out the content of
+    (scale, *nums), making scale positive.
+    """
+    n = len(nums)
+    lead = 0
+    while lead < n and not nums[lead]:
+        lead += 1
+    if lead == n:
+        # zero series: beta = 0 by convention; the known-zero window
+        # [0, top] is sound because the original series had no support
+        # below its own window either
+        top = beta + Fraction(n - 1, den)
+        return _raw(_ZERO, 1, (0,) * (max(0, top.__floor__()) + 1), 1)
+    if lead:
+        beta = beta + Fraction(lead, den)
+        nums = nums[lead:]
+    if den > 1:
+        g = den
+        for t, x in enumerate(nums):
+            if x:
+                g = gcd(g, t)
+                if g == 1:
+                    break
+        if g > 1:
+            nums = nums[::g]
+            den //= g
+    g = gcd(scale, *nums)
+    if scale < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        scale //= g
+    return _raw(beta, den, tuple(nums), scale)
+
+
+def _spread(s: "QSeries", den: int):
+    """Numerators of s resampled onto the finer grid den (a multiple of s.den)."""
+    if den == s.den:
+        return s.nums
+    f = den // s.den
+    out = [0] * (s.precision * f + 1)
+    out[::f] = s.nums
+    return out
+
+
 class QSeries:
     """Truncated q-expansion q^beta * (c_0 + c_1 q^(1/den) + ...)."""
 
-    __slots__ = ("beta", "den", "coeffs")
+    __slots__ = ("beta", "den", "nums", "scale")
 
     def __init__(self, beta, coeffs, den: int = 1):
         beta = _rat(beta)
@@ -51,43 +129,25 @@ class QSeries:
             raise PreconditionError("QSeries needs at least one coefficient")
         if den < 1:
             raise PreconditionError("grid denominator must be >= 1")
-        # canonical form: absorb leading zeros into beta, reset the zero
-        # series to beta = 0, and coarsen the grid when possible
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        if lead == len(cs):
-            # zero series: beta = 0 by convention; the known-zero window
-            # [0, top] is sound because the original series had no support
-            # below its own window either
-            top = beta + Fraction(len(cs) - 1, den)
-            n = max(0, top.__floor__())
-            self.beta = _ZERO
-            self.den = 1
-            self.coeffs = (_ZERO,) * (n + 1)
-            return
-        if lead:
-            beta = beta + Fraction(lead, den)
-            cs = cs[lead:]
-        if den > 1:
-            g = den
-            for t, c in enumerate(cs):
-                if c != 0:
-                    g = gcd(g, t)
-                    if g == 1:
-                        break
-            if g > 1:
-                cs = cs[::g]
-                den //= g
-        self.beta = beta
-        self.den = den
-        self.coeffs = tuple(cs)
+        scale = 1
+        for c in cs:
+            d = c.denominator
+            if scale % d:
+                scale = _lcm(scale, d)
+        s = _series(beta, den, [c.numerator * (scale // c.denominator) for c in cs], scale)
+        self.beta, self.den, self.nums, self.scale = s.beta, s.den, s.nums, s.scale
 
     # -- structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions (computed, not stored)."""
+        s = self.scale
+        return tuple([Fraction(x, s) for x in self.nums])
+
+    @property
     def precision(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def window_top(self) -> Fraction:
@@ -96,15 +156,15 @@ class QSeries:
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs[0] == 0
+        return not self.nums[0]
 
     @classmethod
     def zero(cls, precision: int) -> "QSeries":
-        return cls(0, (0,) * (precision + 1))
+        return _raw(_ZERO, 1, (0,) * (precision + 1), 1)
 
     @classmethod
     def one(cls, precision: int) -> "QSeries":
-        return cls(0, (1,) + (0,) * precision)
+        return _raw(_ZERO, 1, (1,) + (0,) * precision, 1)
 
     def coefficient_at(self, exponent) -> Fraction:
         """Coefficient of q^exponent; zero off the grid, error past the window."""
@@ -116,7 +176,7 @@ class QSeries:
         step = (x - self.beta) * self.den
         if step < 0 or step.denominator != 1:
             return _ZERO
-        return self.coeffs[int(step)]
+        return Fraction(self.nums[int(step)], self.scale)
 
     def truncated(self, precision: int) -> "QSeries":
         """The same series cut to the given number of known steps."""
@@ -124,26 +184,14 @@ class QSeries:
             raise PrecisionError(
                 f"cannot truncate precision {self.precision} series to {precision}"
             )
-        return QSeries(self.beta, self.coeffs[: precision + 1], self.den)
-
-    def _refined(self, den: int) -> "QSeries":
-        """Resample onto a finer grid; den must be a multiple of self.den."""
-        if den == self.den:
+        if precision == self.precision:
             return self
-        f = den // self.den
-        cs = [_ZERO] * (self.precision * f + 1)
-        for t, c in enumerate(self.coeffs):
-            cs[t * f] = c
-        out = object.__new__(QSeries)
-        out.beta = self.beta
-        out.den = den
-        out.coeffs = tuple(cs)
-        return out
+        return _series(self.beta, self.den, self.nums[: precision + 1], self.scale)
 
     # -- arithmetic --------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.beta, tuple(-c for c in self.coeffs), self.den)
+        return _raw(self.beta, self.den, tuple([-x for x in self.nums]), self.scale)
 
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -160,7 +208,16 @@ class QSeries:
             return mul(self, other)
         if isinstance(other, (int, Fraction)):
             c = _rat(other)
-            return QSeries(self.beta, tuple(c * x for x in self.coeffs), self.den)
+            p, q = c.numerator, c.denominator
+            if not p:
+                return _series(self.beta, self.den, [0] * len(self.nums), 1)
+            # gcd(p, q) = 1 and gcd(scale, *nums) = 1, so the content of
+            # (q scale, *(p nums)) is gcd(q, *nums) * gcd(scale, p)
+            gp = gcd(self.scale, p)
+            gq = gcd(q, *self.nums)
+            p //= gp
+            nums = [x // gq for x in self.nums] if gq != 1 else self.nums
+            return _raw(self.beta, self.den, tuple([x * p for x in nums]), self.scale // gp * (q // gq))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -171,11 +228,12 @@ class QSeries:
         return (
             self.beta == other.beta
             and self.den == other.den
-            and self.coeffs == other.coeffs
+            and self.scale == other.scale
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.beta, self.den, self.coeffs))
+        return hash((self.beta, self.den, self.scale, self.nums))
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Mathematical agreement on the joint known window.
@@ -198,8 +256,8 @@ class QSeries:
             t += 1
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
+        shown = ", ".join(str(Fraction(x, self.scale)) for x in self.nums[:6])
+        tail = ", ..." if len(self.nums) > 6 else ""
         grid = f", den={self.den}" if self.den != 1 else ""
         return f"QSeries(q^({self.beta}) * [{shown}{tail}], N={self.precision}{grid})"
 
@@ -217,10 +275,30 @@ class QSeries:
 
     @classmethod
     def from_record(cls, rec: dict) -> "QSeries":
-        coeffs = [Fraction(c) for c in rec["coeffs"]]
-        if len(coeffs) != rec["precision"] + 1:
+        """Inverse of to_record; a malformed record raises PreconditionError."""
+        if not isinstance(rec, dict):
+            raise PreconditionError("series record must be a JSON object")
+        for key in ("base_exponent", "coeffs", "precision"):
+            if key not in rec:
+                raise PreconditionError(f"series record lacks {key!r}")
+        precision = rec["precision"]
+        den = rec.get("grid_denominator", 1)
+        for key, v in (("precision", precision), ("grid_denominator", den)):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise PreconditionError(f"series record {key!r} must be an integer")
+        raw = [rec["base_exponent"]]
+        if not isinstance(rec["coeffs"], list):
+            raise PreconditionError("series record 'coeffs' must be a list")
+        raw.extend(rec["coeffs"])
+        if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in raw):
+            raise PreconditionError("series record rationals must be strings or integers")
+        try:
+            beta, *coeffs = [Fraction(v) for v in raw]
+        except (ValueError, ZeroDivisionError) as e:
+            raise PreconditionError(f"series record holds a malformed rational: {e}") from e
+        if len(coeffs) != precision + 1:
             raise PreconditionError("record length disagrees with precision")
-        return cls(Fraction(rec["base_exponent"]), coeffs, rec.get("grid_denominator", 1))
+        return cls(beta, coeffs, den)
 
 
 def make_series(beta, coeffs, precision: int) -> QSeries:
@@ -239,37 +317,29 @@ def add(a: QSeries, b: QSeries) -> QSeries:
         return QSeries.zero(min(a.precision, b.precision))
     if a.is_zero or b.is_zero:
         z, s = (a, b) if a.is_zero else (b, a)
-        top = min(z.window_top, s.window_top)
-        steps = (top - s.beta) * s.den
+        steps = (z.precision - s.beta) * s.den
         if steps < 0:
             raise PrecisionError("zero operand's window ends before the sum starts")
-        return QSeries(s.beta, s.coeffs[: int(steps) + 1], s.den)
-    den = _lcm(_lcm(a.den, b.den), (a.beta - b.beta).denominator)
-    beta = min(a.beta, b.beta)
-    top = min(a.window_top, b.window_top)
-    n = int((top - beta) * den)
+        if steps >= s.precision:
+            return s
+        return _series(s.beta, s.den, s.nums[: int(steps) + 1], s.scale)
+    # offsets and windows in steps of the union grid 1/den from min(beta)
+    diff = a.beta - b.beta
+    den = _lcm(_lcm(a.den, b.den), diff.denominator)
+    shift = diff.numerator * (den // diff.denominator)
+    beta = b.beta if shift >= 0 else a.beta
+    fa, fb = den // a.den, den // b.den
+    oa, ob = max(shift, 0), max(-shift, 0)
+    n = min(oa + a.precision * fa, ob + b.precision * fb)
     if n < 0:
         raise PrecisionError("operand windows do not overlap")
-    cs = [_ZERO] * (n + 1)
-    for s in (a, b):
-        f = den // s.den
-        off = (s.beta - beta) * den
-        off = int(off)
-        for t, c in enumerate(s.coeffs):
-            i = off + t * f
-            if i > n:
-                break
-            if c != 0:
-                cs[i] += c
-    return QSeries(beta, cs, den)
-
-
-def _lowered(coeffs):
-    """Common-denominator integer form of a coefficient tuple."""
-    d = 1
-    for c in coeffs:
-        d = _lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+    scale = _lcm(a.scale, b.scale)
+    nums = [0] * (n + 1)
+    for s, off, f in ((a, oa, fa), (b, ob, fb)):
+        m = scale // s.scale
+        for i, x in zip(range(off, n + 1, f), s.nums):
+            nums[i] += m * x
+    return _series(beta, den, nums, scale)
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -277,15 +347,10 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     if a.is_zero or b.is_zero:
         return QSeries.zero(min(a.precision, b.precision))
     den = _lcm(a.den, b.den)
-    a = a._refined(den)
-    b = b._refined(den)
-    n = min(a.precision, b.precision)
-    ia, da = _lowered(a.coeffs)
-    ib, db = _lowered(b.coeffs)
-    raw = convolve(ia, ib, n + 1)
-    d = da * db
-    cs = [Fraction(x, d) for x in raw]
-    return QSeries(a.beta + b.beta, cs, den)
+    ia = _spread(a, den)
+    ib = _spread(b, den)
+    raw = convolve(ia, ib, min(len(ia), len(ib)))
+    return _series(a.beta + b.beta, den, raw, a.scale * b.scale)
 
 
 def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
@@ -297,29 +362,38 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             raise PrecisionError("requested precision exceeds the known window")
         return QSeries.zero(precision)
     den = _lcm(a.den, b.den)
-    a = a._refined(den)
-    b = b._refined(den)
-    if precision > min(a.precision, b.precision):
+    ia = _spread(a, den)
+    ib = _spread(b, den)
+    if precision > min(len(ia), len(ib)) - 1:
         raise PrecisionError(
             f"requested precision {precision} exceeds joint precision "
-            f"{min(a.precision, b.precision)}"
+            f"{min(len(ia), len(ib)) - 1}"
         )
-    b0 = b.coeffs[0]
-    out = []
+    # Fraction-free: with a_t = A_t / sa and b_t = B_t / sb, X_t = s_t sa / sb
+    # solves sum_u X_u B_(t-u) = A_t.  Before step t, ys[u] = X_u B_0^t, so
+    # X_t B_0^(t+1) = A_t B_0^t - sum_u ys[u] B_(t-u) is an integer; then
+    # every entry takes one more factor B_0.  At the end
+    # s_u = ys[u] sb / (sa B_0^(precision+1)).
+    b0 = ib[0]
+    ys = []
+    pw = 1
     for t in range(precision + 1):
-        acc = a.coeffs[t]
-        for u, su in enumerate(out):
-            if su != 0:
-                j = t - u
-                if j <= b.precision:
-                    acc -= su * b.coeffs[j]
-        out.append(acc / b0)
-    return QSeries(a.beta - b.beta, out, den)
+        acc = ia[t] * pw
+        for u, y in enumerate(ys):
+            if y:
+                acc -= y * ib[t - u]
+        if b0 != 1:
+            ys = [y * b0 for y in ys]
+            pw *= b0
+        ys.append(acc)
+    sb = b.scale
+    return _series(a.beta - b.beta, den, [y * sb for y in ys], a.scale * b0 ** (precision + 1))
 
 
 def q_derivative(a: QSeries) -> QSeries:
     """Apply q d/dq termwise: c q^x becomes x c q^x."""
-    cs = [
-        (a.beta + Fraction(t, a.den)) * c for t, c in enumerate(a.coeffs)
-    ]
-    return QSeries(a.beta, cs, a.den)
+    # with beta = p/q, the exponent of step t is (p den + q t) / (q den)
+    p, q = a.beta.numerator, a.beta.denominator
+    den = a.den
+    nums = [x * (p * den + q * t) for t, x in enumerate(a.nums)]
+    return _series(a.beta, den, nums, a.scale * q * den)

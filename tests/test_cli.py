@@ -131,6 +131,19 @@ def test_operator_file_errors_exit_2(capsys, tmp_path, content):
     assert str(path) in lines[0]
 
 
+@pytest.mark.parametrize("command", [["mmde", "construct"], ["mmde", "solve"], ["wronskian"]])
+@pytest.mark.parametrize("extra", [["--cusp", "5"], ["--roots", "1/12,5/12"]], ids=["cusp", "roots"])
+def test_operator_file_excludes_roots_and_cusp(capsys, tmp_path, command, extra):
+    doc = run_json(capsys, ["mmde", "construct", "--roots", "1/12,5/12"])
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc["operator"]), encoding="utf-8")
+    rc = main(command + ["--operator", str(path), "--precision", "8"] + extra)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["precondition violated: --operator cannot be combined with --roots or --cusp"]
+
+
 def test_wronskian(capsys):
     doc = run_json(capsys, ["wronskian", "--roots", "1/12,5/12", "--precision", "8"])
     assert doc["exponent_sum"] == "1/2"

@@ -14,6 +14,7 @@ from vvmf import (
     apply,
     delta,
     dkn_constants,
+    eisenstein,
     indicial_polynomial,
     unique_operator,
 )
@@ -34,6 +35,8 @@ def test_operator_guards():
     with pytest.raises(PreconditionError):
         Mmde(2, 2, (Fraction(-1, 48),), roots=(Fraction(1, 12),))
     assert Mmde(2, 2, (Fraction(-1, 48),), cusp_c=None).cusp_c is None
+    with pytest.raises(PreconditionError, match="expected an operator"):
+        apply("x", eisenstein(4, 5))
 
 
 def test_cusp_zero_collapses_to_none():

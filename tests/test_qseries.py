@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vvmf import PrecisionError, PreconditionError, QSeries, add, divide_exact, make_series, mul, q_derivative
 
@@ -187,3 +190,192 @@ def test_canonicalization_idempotent():
     for _ in range(25):
         s = rand_series(rng)
         assert QSeries(s.beta, s.coeffs, s.den) == s
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"base_exponent": "0", "coeffs": ["1", "2"], "precision": True},
+        {"base_exponent": "0", "coeffs": "12", "precision": 1},
+        {"base_exponent": "0", "coeffs": ["1", "2"], "precision": 1, "grid_denominator": True},
+        {"base_exponent": "0", "coeffs": ["1", "2"]},
+        {"base_exponent": "0", "coeffs": ["1", "2"], "precision": 1, "grid_denominator": "2"},
+        {"base_exponent": "0", "coeffs": ["1", "x"], "precision": 1},
+        {"base_exponent": "0", "coeffs": ["1", "1/0"], "precision": 1},
+        {"base_exponent": "0", "coeffs": ["1", 0.5], "precision": 1},
+        {"base_exponent": "y", "coeffs": ["1"], "precision": 0},
+        ["0", ["1"], 0],
+    ],
+    ids=[
+        "bool_precision", "string_coeffs", "bool_grid", "missing_key", "string_grid",
+        "bad_coefficient", "zero_denominator", "float_coefficient", "bad_base", "not_a_dict",
+    ],
+)
+def test_from_record_rejects_malformed(rec):
+    with pytest.raises(PreconditionError):
+        QSeries.from_record(rec)
+
+
+# -- the integer representation against a Fraction-tuple reference -----
+#
+# The reference keeps a series as (beta, den, coeffs) with coeffs a tuple
+# of Fractions and runs every operation one Fraction at a time, as the
+# library did before it stored integer numerators over one scale.
+
+
+def ref_canon(beta, cs, den):
+    cs = list(cs)
+    lead = 0
+    while lead < len(cs) and cs[lead] == 0:
+        lead += 1
+    if lead == len(cs):
+        top = beta + Fraction(len(cs) - 1, den)
+        return (Fraction(0), 1, (Fraction(0),) * (max(0, top.__floor__()) + 1))
+    beta += Fraction(lead, den)
+    cs = cs[lead:]
+    g = den
+    for t, c in enumerate(cs):
+        if c:
+            g = gcd(g, t)
+    return (beta, den // g, tuple(cs[::g]))
+
+
+def ref_top(r):
+    return r[0] + Fraction(len(r[2]) - 1, r[1])
+
+
+def ref_refined(r, den):
+    f = den // r[1]
+    cs = [Fraction(0)] * ((len(r[2]) - 1) * f + 1)
+    cs[::f] = r[2]
+    return cs
+
+
+def ref_add(a, b):
+    za, zb = a[2][0] == 0, b[2][0] == 0
+    if za and zb:
+        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[2]), len(b[2])), 1)
+    if za or zb:
+        z, s = (a, b) if za else (b, a)
+        steps = (min(ref_top(z), ref_top(s)) - s[0]) * s[1]
+        if steps < 0:
+            raise PrecisionError("zero operand's window ends before the sum starts")
+        return ref_canon(s[0], s[2][: int(steps) + 1], s[1])
+    den = lcm(a[1], b[1], (a[0] - b[0]).denominator)
+    beta = min(a[0], b[0])
+    n = int((min(ref_top(a), ref_top(b)) - beta) * den)
+    if n < 0:
+        raise PrecisionError("operand windows do not overlap")
+    cs = [Fraction(0)] * (n + 1)
+    for s in (a, b):
+        f, off = den // s[1], int((s[0] - beta) * den)
+        for t, c in enumerate(s[2]):
+            if off + t * f <= n:
+                cs[off + t * f] += c
+    return ref_canon(beta, cs, den)
+
+
+def ref_mul(a, b):
+    if a[2][0] == 0 or b[2][0] == 0:
+        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[2]), len(b[2])), 1)
+    den = lcm(a[1], b[1])
+    ca, cb = ref_refined(a, den), ref_refined(b, den)
+    n = min(len(ca), len(cb))
+    cs = [sum((ca[i] * cb[t - i] for i in range(t + 1)), Fraction(0)) for t in range(n)]
+    return ref_canon(a[0] + b[0], cs, den)
+
+
+def ref_scaled(c, a):
+    return ref_canon(a[0], [c * x for x in a[2]], a[1])
+
+
+def ref_q_derivative(a):
+    return ref_canon(a[0], [(a[0] + Fraction(t, a[1])) * c for t, c in enumerate(a[2])], a[1])
+
+
+def ref_truncated(a, precision):
+    if precision < 0 or precision > len(a[2]) - 1:
+        raise PrecisionError("truncation beyond the window")
+    return ref_canon(a[0], a[2][: precision + 1], a[1])
+
+
+def ref_divide_exact(a, b, precision):
+    if b[2][0] == 0:
+        raise PreconditionError("division by the zero series")
+    if a[2][0] == 0:
+        if precision > len(a[2]) - 1:
+            raise PrecisionError("requested precision exceeds the known window")
+        return ref_canon(Fraction(0), [Fraction(0)] * (precision + 1), 1)
+    den = lcm(a[1], b[1])
+    ca, cb = ref_refined(a, den), ref_refined(b, den)
+    if precision > min(len(ca), len(cb)) - 1:
+        raise PrecisionError("requested precision exceeds joint precision")
+    out = []
+    for t in range(precision + 1):
+        acc = ca[t]
+        for u, su in enumerate(out):
+            acc -= su * cb[t - u]
+        out.append(acc / cb[0])
+    return ref_canon(a[0] - b[0], out, den)
+
+
+def ref_coefficient_at(a, x):
+    if x > ref_top(a):
+        raise PrecisionError("exponent beyond the window")
+    step = (x - a[0]) * a[1]
+    if step < 0 or step.denominator != 1:
+        return Fraction(0)
+    return a[2][int(step)]
+
+
+def fields(s):
+    """The reference's view of s, after checking the canonical form."""
+    assert s.scale > 0 and gcd(s.scale, *s.nums) == 1
+    return (s.beta, s.den, s.coeffs)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, PreconditionError) as e:
+        return type(e)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+coefficients = st.one_of(st.just(Fraction(0)), rationals, st.integers(-(10**30), 10**30).map(Fraction))
+betas = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12]))
+raw_series = st.tuples(betas, st.lists(coefficients, min_size=1, max_size=8), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(raw_series, raw_series, rationals, st.integers(0, 8), betas)
+def test_integer_series_match_fraction_reference(ra, rb, c, precision, x):
+    a, b = QSeries(*ra), QSeries(*rb)
+    fa, fb = ref_canon(*ra), ref_canon(*rb)
+    assert fields(a) == fa and fields(b) == fb
+    assert outcome(lambda: fields(a + b)) == outcome(ref_add, fa, fb)
+    assert outcome(lambda: fields(a - b)) == outcome(ref_add, fa, ref_scaled(Fraction(-1), fb))
+    assert fields(-a) == ref_scaled(Fraction(-1), fa)
+    assert fields(c * a) == fields(a * c) == ref_scaled(c, fa)
+    assert fields(mul(a, b)) == ref_mul(fa, fb)
+    assert fields(q_derivative(a)) == ref_q_derivative(fa)
+    assert outcome(lambda: fields(a.truncated(precision))) == outcome(ref_truncated, fa, precision)
+    assert outcome(lambda: fields(divide_exact(a, b, precision))) == outcome(ref_divide_exact, fa, fb, precision)
+    assert outcome(a.coefficient_at, x) == outcome(ref_coefficient_at, fa, x)
+    assert QSeries(a.beta, a.coeffs, a.den) == a
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(raw_series, raw_series)
+def test_equal_series_from_different_routes_hash_equal(ra, rb):
+    a, b = QSeries(*ra), QSeries(*rb)
+    ab, ba = mul(a, b), mul(b, a)
+    assert ab == ba and hash(ab) == hash(ba)
+    total = outcome(add, a, b)
+    assert total == outcome(add, b, a)
+    assume(isinstance(total, QSeries) and not total.is_zero and not a.is_zero)
+    assert hash(total) == hash(b + a)
+    k = ((min(a.window_top, b.window_top) - a.beta) * a.den).__floor__()
+    assume(k >= 0)
+    back = total - b
+    assert back == a.truncated(k) and hash(back) == hash(a.truncated(k))
