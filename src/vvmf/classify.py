@@ -149,7 +149,7 @@ class RepInput:
                  t_determined_asserted: bool = False):
         if not isinstance(dimension, int) or not (1 <= dimension <= 5):
             raise PreconditionError("dimension must be 1..5")
-        exps = tuple(_rat(x) for x in exponents)
+        exps = tuple([_rat(x) for x in exponents])
         if len(exps) != dimension:
             raise PreconditionError("need one eigenvalue angle per dimension")
         for x in exps:

@@ -117,7 +117,7 @@ def _operator_from_args(args) -> Mmde:
         try:
             with open(args.operator, "r", encoding="utf-8") as fh:
                 L = Mmde.from_record(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        except (OSError, ValueError, PreconditionError) as e:
             raise PreconditionError("cannot read operator file %r: %r" % (args.operator, e)) from e
         if L.order > _MAX_CLI_ORDER:
             raise UnsupportedInputError("operators beyond order 6 are not supported")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._kernel import convolve
 from .errors import PreconditionError
 from .forms import eisenstein
-from .qseries import QSeries, _rat, mul, q_derivative
+from .qseries import QSeries, _rat, _series, _spread, _theta, mul
 
 
 class VvmfVector:
@@ -86,11 +87,24 @@ class VvmfVector:
         )
 
 
+def _derive(beta: Fraction, den: int, nums, scale: int, k: Fraction):
+    """Numerators and scale of D_k on q^beta * sum_t (nums[t] / scale) q^(t/den),
+    on the input's window with no content pass; no product at k = 0 or on zero."""
+    theta, m = _theta(beta, den, nums)
+    c = k / 12
+    if not c or not any(nums):
+        return theta, scale * m
+    e2 = eisenstein(2, len(nums) - 1)
+    conv = convolve(_spread(e2, den), nums, len(nums))
+    # theta / (scale m) - a conv / (scale b) over scale m b
+    a, b = c.numerator, c.denominator * e2.scale
+    return [b * x - a * m * y for x, y in zip(theta, conv)], scale * m * b
+
+
 def modular_derivative(f: QSeries, k) -> QSeries:
-    """D_k f = q df/dq - (k/12) E_2 f."""
-    k = _rat(k)
-    e2 = eisenstein(2, f.precision)
-    return q_derivative(f) - Fraction(k, 12) * mul(e2, f)
+    """D_k f = q df/dq - (k/12) E_2 f, known on the window of f."""
+    nums, scale = _derive(f.beta, f.den, f.nums, f.scale, _rat(k))
+    return _series(f.beta, f.den, nums, scale)
 
 
 def derivative_vector(F: VvmfVector) -> VvmfVector:
@@ -120,33 +134,3 @@ def iterate_derivative(f, k, n: int):
         out = modular_derivative(out, k + 2 * i)
     return out
 
-
-def dkn_constants(n: int, k) -> tuple:
-    """Constant terms f_{n,j}(0) of the coefficients in D_k^n = sum_j f_{n,j} (q d/dq)^j.
-
-    Recovered by probing D_k^n on the monomials q^r, r = 0..n-1, and solving
-    the triangular falling-factorial system; no closed form is hardcoded.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError("order must be an integer >= 1")
-    k = _rat(k)
-    values = []
-    for r in range(n):
-        probe = QSeries(r, [Fraction(1)] + [Fraction(0)] * n)
-        out = iterate_derivative(probe, k, n)
-        values.append(out.coefficient_at(Fraction(r)))
-    # P(r) = sum_j f_{n,j}(0) (r)_j with (r)_j the falling factorial;
-    # (r)_j vanishes for integer r < j, so the system is triangular.
-    consts = []
-    for j in range(n):
-        acc = values[j]
-        for i in range(j):
-            ff = Fraction(1)
-            for m in range(i):
-                ff *= j - m
-            acc -= consts[i] * ff
-        ff_jj = Fraction(1)
-        for m in range(j):
-            ff_jj *= j - m
-        consts.append(acc / ff_jj)
-    return tuple(consts)

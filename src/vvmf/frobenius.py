@@ -11,12 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._kernel import convolve
 from .classify import RationalAngle
 from .deriv import VvmfVector
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .mmde import Mmde, indicial_polynomial
-from .qseries import QSeries, _series, mul, q_derivative
+from .qseries import _lincomb, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
 
 
 def theta_form(L, precision: int) -> list:
@@ -27,27 +28,35 @@ def theta_form(L, precision: int) -> list:
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
     n, k = L.order, L.weight
+    size = precision + 1
     e2 = eisenstein(2, precision)
-    prefixes = [[QSeries.one(precision)]]
+    # prefixes[t] = (rows, scale) with D_k^t = sum_i (rows[i] / scale)(q) theta^i
+    prefixes = [([[1] + [0] * precision], 1)]
     for t in range(n):
         w = Fraction(k + 2 * t, 12)
-        cur = prefixes[-1]
-        new = [QSeries.zero(precision) for _ in range(len(cur) + 1)]
-        for i, a in enumerate(cur):
-            new[i + 1] = new[i + 1] + a
-            new[i] = new[i] + q_derivative(a) - w * mul(e2, a)
-        prefixes.append(new)
-    out = list(prefixes[n])
+        a, b = w.numerator, w.denominator * e2.scale
+        rows, scale = prefixes[-1]
+        # row i of the next level: (b (rows[i-1] + theta rows[i]) - a E_2 rows[i]) / (scale b)
+        new = [[b * u * x for u, x in enumerate(r)] for r in rows] + [[0] * size]
+        for i, r in enumerate(rows):
+            if a and any(r):
+                new[i] = [x - a * y for x, y in zip(new[i], convolve(e2.nums, r, size))]
+            new[i + 1] = [x + b * y for x, y in zip(new[i + 1], r)]
+        prefixes.append((new, scale * b))
+    rows, scale = prefixes[n]
+    terms = [[(1, scale, 0, r)] for r in rows]
     for l in range(2, n + 1):
         alpha = L.alphas[l - 2]
-        if alpha == 0:
-            continue
-        el = eisenstein(2 * l, precision)
-        part = prefixes[n - l]
-        for i, a in enumerate(part):
-            out[i] = out[i] + alpha * mul(el, a)
+        if alpha:
+            el = eisenstein(2 * l, precision)
+            part, s = prefixes[n - l]
+            for i, r in enumerate(part):
+                if any(r):
+                    terms[i].append((alpha.numerator, alpha.denominator * el.scale * s, 0, convolve(el.nums, r, size)))
     if L.cusp_c is not None:
-        out[0] = out[0] + L.cusp_c * delta(precision)
+        dl = delta(precision)
+        terms[0].append((L.cusp_c.numerator, L.cusp_c.denominator * dl.scale, 1, dl.nums))
+    out = [_lincomb(Fraction(0), 1, precision, ts) for ts in terms]
     if not (out[n].beta == 0 and out[n].coefficient_at(Fraction(0)) == 1):
         raise InternalCheckError("theta form lost monicity")
     return out

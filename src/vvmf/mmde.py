@@ -14,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .deriv import modular_derivative
+from ._kernel import convolve
+from .deriv import _derive
 from .errors import InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
-from .qseries import QSeries, _rat, mul
+from .qseries import QSeries, _lincomb, _rat, _record_rationals, _spread
 
 _TRIAL_DIVISION_CAP = 2_000_000
 
@@ -52,7 +53,7 @@ class Mmde:
             raise PreconditionError("order must be an integer >= 1")
         self.order = order
         self.weight = _rat(weight)
-        self.alphas = tuple(_rat(a) for a in alphas)
+        self.alphas = tuple([_rat(a) for a in alphas])
         if len(self.alphas) != order - 1:
             raise PreconditionError("expected %d Eisenstein coefficients" % (order - 1))
         if cusp_c is not None:
@@ -89,13 +90,16 @@ class Mmde:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Mmde":
-        out = cls(
-            rec["order"],
-            rec["weight"],
-            rec.get("alphas", ()),
-            cusp_c=rec.get("cusp_c"),
-            roots=rec.get("indicial_roots"),
-        )
+        """Inverse of to_record; a malformed record raises PreconditionError."""
+        if not isinstance(rec, dict) or "order" not in rec or "weight" not in rec:
+            raise PreconditionError("operator record must be a JSON object with 'order' and 'weight'")
+        alphas, roots, cusp = rec.get("alphas", []), rec.get("indicial_roots"), rec.get("cusp_c")
+        if not isinstance(alphas, list) or not isinstance(roots, (list, type(None))):
+            raise PreconditionError("operator record 'alphas' and 'indicial_roots' must be lists")
+        weight, *alphas = _record_rationals([rec["weight"], *alphas], "operator record")
+        roots = None if roots is None else _record_rationals(roots, "operator record")
+        cusp = None if cusp is None else _record_rationals([cusp], "operator record")[0]
+        out = cls(rec["order"], weight, alphas, cusp_c=cusp, roots=roots)
         if out._roots is not None:
             poly = list(indicial_polynomial(out)) + [Fraction(1)]
             if _poly_from_roots(out._roots) != poly:
@@ -199,19 +203,24 @@ def apply(L, f: QSeries) -> QSeries:
     if not isinstance(f, QSeries):
         raise PreconditionError("operand must be a QSeries")
     n, k = L.order, L.weight
-    ladder = [f]
+    beta, den, top = f.beta, f.den, f.precision
+    # the ladder D^i f as raw numerators over a running scale, on f's window
+    ladder = [(f.nums, f.scale)]
     for i in range(n):
-        ladder.append(modular_derivative(ladder[-1], k + 2 * i))
-    out = ladder[n]
+        ladder.append(_derive(beta, den, *ladder[-1], k + 2 * i))
+    nums, scale = ladder[n]
+    terms = [(1, scale, 0, nums)]
     for l in range(2, n + 1):
         a = L.alphas[l - 2]
-        if a == 0:
-            continue
-        g = ladder[n - l]
-        out = out + a * mul(eisenstein(2 * l, g.precision), g)
-    if L.cusp_c is not None:
-        out = out + L.cusp_c * mul(delta(f.precision), f)
-    return out
+        nums, scale = ladder[n - l]
+        if a and any(nums):
+            e = eisenstein(2 * l, top)
+            terms.append((a.numerator, a.denominator * e.scale * scale, 0, convolve(_spread(e, den), nums, top + 1)))
+    c = L.cusp_c
+    if c is not None and not f.is_zero:
+        dl = delta(top)
+        terms.append((c.numerator, c.denominator * dl.scale * f.scale, den, convolve(_spread(dl, den), f.nums, top + 1)))
+    return _lincomb(beta, den, top, terms)
 
 
 def _divisors(m: int):

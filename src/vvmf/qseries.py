@@ -49,6 +49,17 @@ def _rat(x) -> Fraction:
     raise PreconditionError(f"not an exact rational: {x!r}")
 
 
+def _record_rationals(values, what: str) -> list:
+    """Fractions from a JSON record's rationals, each a string or an integer;
+    anything else (bools and floats included) raises PreconditionError."""
+    if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in values):
+        raise PreconditionError(f"{what} rationals must be strings or integers")
+    try:
+        return [Fraction(v) for v in values]
+    except (ValueError, ZeroDivisionError) as e:
+        raise PreconditionError(f"{what} holds a malformed rational: {e}") from e
+
+
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
@@ -105,6 +116,38 @@ def _series(beta: Fraction, den: int, nums, scale: int) -> "QSeries":
         nums = [x // g for x in nums]
         scale //= g
     return _raw(beta, den, tuple(nums), scale)
+
+
+def _lincomb(beta: Fraction, den: int, n: int, terms) -> "QSeries":
+    """The canonical q^beta * sum_{t<=n} c_t q^(t/den), c_t = sum of p * nums[t - off]
+    / scale over the terms (p, scale, off, nums): one content pass for a whole sum.
+
+    Parts past the window n are dropped, but a zero sum with a nonzero term past
+    it raises PrecisionError, as a zero series does in add.
+    """
+    scale = 1
+    for _, s, _, _ in terms:
+        if scale % s:
+            scale = _lcm(scale, s)
+    out = [0] * (n + 1)
+    late = False
+    for p, s, off, nums in terms:
+        if off > n:
+            late = late or any(nums)
+            continue
+        m = p * (scale // s)
+        end = min(n + 1, off + len(nums))
+        out[off:end] = [y + m * x for y, x in zip(out[off:end], nums)]
+    if late and not any(out):
+        raise PrecisionError("a term starts past the window of a zero sum")
+    return _series(beta, den, out, scale)
+
+
+def _theta(beta: Fraction, den: int, nums):
+    """Numerators and scale factor of q d/dq on q^beta * sum_t nums[t] q^(t/den):
+    with beta = p/q, step t has exponent (p den + q t) / (q den)."""
+    p, q = beta.numerator, beta.denominator
+    return [x * (p * den + q * t) for t, x in enumerate(nums)], q * den
 
 
 def _spread(s: "QSeries", den: int):
@@ -286,16 +329,9 @@ class QSeries:
         for key, v in (("precision", precision), ("grid_denominator", den)):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise PreconditionError(f"series record {key!r} must be an integer")
-        raw = [rec["base_exponent"]]
         if not isinstance(rec["coeffs"], list):
             raise PreconditionError("series record 'coeffs' must be a list")
-        raw.extend(rec["coeffs"])
-        if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in raw):
-            raise PreconditionError("series record rationals must be strings or integers")
-        try:
-            beta, *coeffs = [Fraction(v) for v in raw]
-        except (ValueError, ZeroDivisionError) as e:
-            raise PreconditionError(f"series record holds a malformed rational: {e}") from e
+        beta, *coeffs = _record_rationals([rec["base_exponent"], *rec["coeffs"]], "series record")
         if len(coeffs) != precision + 1:
             raise PreconditionError("record length disagrees with precision")
         return cls(beta, coeffs, den)
@@ -313,33 +349,20 @@ def make_series(beta, coeffs, precision: int) -> QSeries:
 
 def add(a: QSeries, b: QSeries) -> QSeries:
     """Sum, merged onto the union exponent grid, window = min of windows."""
-    if a.is_zero and b.is_zero:
-        return QSeries.zero(min(a.precision, b.precision))
     if a.is_zero or b.is_zero:
         z, s = (a, b) if a.is_zero else (b, a)
         steps = (z.precision - s.beta) * s.den
         if steps < 0:
             raise PrecisionError("zero operand's window ends before the sum starts")
-        if steps >= s.precision:
-            return s
-        return _series(s.beta, s.den, s.nums[: int(steps) + 1], s.scale)
+        return s.truncated(int(min(steps, s.precision)))
     # offsets and windows in steps of the union grid 1/den from min(beta)
     diff = a.beta - b.beta
     den = _lcm(_lcm(a.den, b.den), diff.denominator)
     shift = diff.numerator * (den // diff.denominator)
     beta = b.beta if shift >= 0 else a.beta
-    fa, fb = den // a.den, den // b.den
     oa, ob = max(shift, 0), max(-shift, 0)
-    n = min(oa + a.precision * fa, ob + b.precision * fb)
-    if n < 0:
-        raise PrecisionError("operand windows do not overlap")
-    scale = _lcm(a.scale, b.scale)
-    nums = [0] * (n + 1)
-    for s, off, f in ((a, oa, fa), (b, ob, fb)):
-        m = scale // s.scale
-        for i, x in zip(range(off, n + 1, f), s.nums):
-            nums[i] += m * x
-    return _series(beta, den, nums, scale)
+    n = min(oa + a.precision * (den // a.den), ob + b.precision * (den // b.den))
+    return _lincomb(beta, den, n, [(1, a.scale, oa, _spread(a, den)), (1, b.scale, ob, _spread(b, den))])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -392,8 +415,5 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
 
 def q_derivative(a: QSeries) -> QSeries:
     """Apply q d/dq termwise: c q^x becomes x c q^x."""
-    # with beta = p/q, the exponent of step t is (p den + q t) / (q den)
-    p, q = a.beta.numerator, a.beta.denominator
-    den = a.den
-    nums = [x * (p * den + q * t) for t, x in enumerate(a.nums)]
-    return _series(a.beta, den, nums, a.scale * q * den)
+    nums, m = _theta(a.beta, a.den, a.nums)
+    return _series(a.beta, a.den, nums, a.scale * m)

@@ -11,9 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .deriv import VvmfVector, derivative_vector
+from ._kernel import convolve
 from .errors import FactorizationError, PrecisionError, PreconditionError
 from .forms import eta_power
-from .qseries import QSeries, divide_exact, mul
+from .qseries import QSeries, _lincomb, divide_exact
 
 _PRECISION_MARGIN = 2
 
@@ -32,23 +33,18 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
     # determinant by expanding one row at a time over column subsets
     minors = {(j,): mat[0][j] for j in range(d)}
     for i in range(1, d):
-        nxt = {}
+        terms = {}
         for cols, minor in minors.items():
             if minor.is_zero:
                 continue
             for j in range(d):
                 if j in cols:
                     continue
-                pos = 0
-                while pos < len(cols) and cols[pos] < j:
-                    pos += 1
-                term = mul(minor, mat[i][j])
-                if (len(cols) - pos) % 2 == 1:
-                    term = -term
+                pos = sum(c < j for c in cols)
                 key = cols[:pos] + (j,) + cols[pos:]
-                prev = nxt.get(key)
-                nxt[key] = term if prev is None else prev + term
-        minors = nxt
+                sign = -1 if (len(cols) - pos) % 2 else 1
+                terms.setdefault(key, []).append((sign, minor, mat[i][j]))
+        minors = {key: _product_sum(ts) for key, ts in terms.items()}
         if not minors:
             break
     full = tuple(range(d))
@@ -57,6 +53,20 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
         n = min(r.precision for r in rows)
         det = QSeries(sum(F.exponents, Fraction(0)), [Fraction(0)] * (n + 1))
     return det
+
+
+def _product_sum(terms) -> QSeries:
+    """sum sign * a * b over the (sign, a, b) of one minor, on the windows of mul
+    and add (a zero product is QSeries.zero of the shorter precision), with one
+    content pass.  The products of one minor share a coset, so lie whole steps apart."""
+    top = min(min(a.precision, b.precision) + (0 if a.is_zero or b.is_zero else a.beta + b.beta) for _, a, b in terms)
+    parts = [(sign, a, b) for sign, a, b in terms if not (a.is_zero or b.is_zero)]
+    if not parts:
+        return QSeries.zero(top)
+    start = min(a.beta + b.beta for _, a, b in parts)
+    return _lincomb(start, 1, (top - start).__floor__(), [
+        (sign, a.scale * b.scale, int(a.beta + b.beta - start), convolve(a.nums, b.nums, min(len(a.nums), len(b.nums))))
+        for sign, a, b in parts])
 
 
 def weight_lower_bound(d: int, lam, n):

@@ -115,8 +115,12 @@ def test_operator_file_round_trip(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "not json", '{"order": 2}', '{"order": 2, "weight": "1/0", "alphas": ["0"]}'],
-    ids=["missing", "non_json", "no_weight", "zero_denominator"],
+    [
+        None, "not json", '{"order": 2}', '{"order": 2, "weight": "1/0", "alphas": ["0"]}',
+        '{"order": 3, "weight": "2", "alphas": "12"}', '{"order": 2, "weight": "1", "alphas": [true]}',
+        '{"a": 1}',
+    ],
+    ids=["missing", "non_json", "no_weight", "zero_denominator", "string_alphas", "bool_alpha", "no_order"],
 )
 def test_operator_file_errors_exit_2(capsys, tmp_path, content):
     path = tmp_path / "op.json"
@@ -150,6 +154,15 @@ def test_wronskian(capsys):
     assert doc["g_weight"] == "0"
     assert doc["gamma"] == "1/3"
     assert doc["g"]["base_exponent"] == "0"
+
+
+def test_wronskian_weight_zero_rows_keep_their_window(capsys):
+    # the roots 1/12, 1/6, 1/4 give a weight-0 operator, so the first
+    # derivative row is theta F on F's window; g is known one step further
+    # than when a zero product floored that row's window
+    doc = run_json(capsys, ["wronskian", "--roots", "1/12,1/6,1/4", "--precision", "12"])
+    assert doc["g_weight"] == "0" and doc["gamma"] == "1/864"
+    assert doc["g"]["precision"] == 11
 
 
 def test_classify_dim5_example(capsys):

@@ -12,7 +12,6 @@ from vvmf import (
     VvmfVector,
     delta,
     derivative_vector,
-    dkn_constants,
     eisenstein,
     eta_power,
     iterate_derivative,
@@ -44,6 +43,29 @@ def test_derivative_raises_leading_exponent_action():
     f = QSeries(Fraction(2, 7), [3, 1, 4])
     out = modular_derivative(f, 6)
     assert out.coefficient_at(Fraction(2, 7)) == 3 * (Fraction(2, 7) - Fraction(1, 2))
+
+
+def dkn_constants(n, k):
+    """Constant terms f_{n,j}(0) of the coefficients in D_k^n = sum_j f_{n,j} (q d/dq)^j.
+
+    Recovered by probing D_k^n on the monomials q^r, r = 0..n-1, and solving
+    the triangular falling-factorial system; no closed form is hardcoded.
+    The library uses the closed-form root product; this probe is its oracle.
+    """
+    k = Fraction(k)
+    values = []
+    for r in range(n):
+        probe = QSeries(r, [Fraction(1)] + [Fraction(0)] * n)
+        values.append(iterate_derivative(probe, k, n).coefficient_at(Fraction(r)))
+    # P(r) = sum_j f_{n,j}(0) (r)_j with (r)_j the falling factorial;
+    # (r)_j vanishes for integer r < j, so the system is triangular.
+    consts = []
+    for j in range(n):
+        acc = values[j]
+        for i in range(j):
+            acc -= consts[i] * falling(j, i)
+        consts.append(acc / falling(j, j))
+    return tuple(consts)
 
 
 def falling(x, j):

@@ -13,12 +13,13 @@ from vvmf import (
     appendix_family,
     apply,
     delta,
-    dkn_constants,
     eisenstein,
     indicial_polynomial,
     unique_operator,
 )
 from vvmf.mmde import _theta_poly_constants
+
+from test_deriv import dkn_constants
 
 
 def test_operator_guards():
@@ -119,6 +120,34 @@ def test_record_rejects_wrong_roots():
     with pytest.raises(PreconditionError):
         Mmde.from_record(rec)
     rec["indicial_roots"] = ["1/12"]
+    with pytest.raises(PreconditionError):
+        Mmde.from_record(rec)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"order": 3, "weight": "2", "alphas": "12"},
+        {"order": 2, "weight": "1", "alphas": [True]},
+        {"order": 2, "weight": "1", "alphas": [0.5]},
+        {"a": 1},
+        {"weight": "1", "alphas": ["0"]},
+        {"order": 2, "alphas": ["0"]},
+        {"order": 2, "weight": "x", "alphas": ["0"]},
+        {"order": 2, "weight": True, "alphas": ["0"]},
+        {"order": 2, "weight": "1", "alphas": ["1/0"]},
+        {"order": 6, "weight": "0", "alphas": ["0"] * 5, "cusp_c": True},
+        {"order": 2, "weight": "1", "alphas": ["0"], "indicial_roots": "1/12"},
+        {"order": 2, "weight": "1", "alphas": ["0"], "indicial_roots": ["y", "1/4"]},
+        ["order", 2],
+    ],
+    ids=[
+        "string_alphas", "bool_alpha", "float_alpha", "unknown_key", "no_order", "no_weight",
+        "bad_weight", "bool_weight", "zero_denominator", "bool_cusp", "string_roots", "bad_root",
+        "not_a_dict",
+    ],
+)
+def test_record_rejects_malformed(rec):
     with pytest.raises(PreconditionError):
         Mmde.from_record(rec)
 
