@@ -32,6 +32,7 @@ from .qseries import QSeries
 from .wronskian import wronskian_factorization
 
 _MAX_CLI_ORDER = 6
+_MAX_CLI_PRECISION = 200
 
 
 def _parse_rat(s: str) -> Fraction:
@@ -82,12 +83,19 @@ def _render_text(doc, indent=0, lines=None):
     return out
 
 
-def _emit(doc, fmt: str) -> None:
-    doc = _jsonable(doc)
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(_render_text(doc)) + "\n")
+def _output(args) -> str:
+    """The command's document, rendered.  Its exact integers can pass the limit
+    on int-to-str digits of Python >= 3.10.7, so that limit is lifted meanwhile;
+    the precision cap bounds their size."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = _jsonable(args.fn(args))
+        return json.dumps(doc, indent=2) + "\n" if args.format == "json" else "\n".join(_render_text(doc)) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _vector_record(F) -> dict:
@@ -304,7 +312,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        doc = args.fn(args)
+        if args.precision > _MAX_CLI_PRECISION:
+            raise UnsupportedInputError("precision beyond %d is not supported" % _MAX_CLI_PRECISION)
+        out = _output(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except UnsupportedInputError as e:
@@ -313,7 +323,7 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         sys.stderr.write("precondition violated: %s\n" % e)
         return 2
-    _emit(doc, args.format)
+    sys.stdout.write(out)
     return 0
 
 

@@ -8,16 +8,13 @@ weight 4 and weight 6 Eisenstein series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import InternalCheckError, PreconditionError
 from .qseries import QSeries, _rat, _series, mul
 
 _bernoulli: list[Fraction] = [Fraction(1)]
-
-_eis_coeffs: dict[int, list[Fraction]] = {}
-_eis_cache: dict[tuple[int, int], QSeries] = {}
-_delta_cache: dict[int, QSeries] = {}
 
 
 def bernoulli(m: int) -> Fraction:
@@ -32,36 +29,29 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli[m]
 
 
-def _sigma(n: int, power: int) -> int:
-    s = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            s += d**power
-            e = n // d
-            if e != d:
-                s += e**power
-        d += 1
-    return s
-
-
+@lru_cache(maxsize=None, typed=True)  # typed: eisenstein(4.0, n) raises after eisenstein(4, n)
 def eisenstein(k: int, precision: int) -> QSeries:
-    """Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    """Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, sigma from one divisor sieve."""
     if not isinstance(k, int) or k < 2 or k % 2 != 0:
         raise PreconditionError("eisenstein weight must be an even integer >= 2")
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
-    key = (k, precision)
-    hit = _eis_cache.get(key)
-    if hit is not None:
-        return hit
-    coeffs = _eis_coeffs.setdefault(k, [Fraction(1)])
-    if len(coeffs) <= precision:
-        factor = Fraction(-2 * k) / bernoulli(k)
-        for n in range(len(coeffs), precision + 1):
-            coeffs.append(factor * _sigma(n, k - 1))
-    out = QSeries(0, coeffs[: precision + 1])
-    _eis_cache[key] = out
+    sigma = [0] * (precision + 1)
+    for d in range(1, precision + 1):
+        p = d ** (k - 1)
+        for n in range(d, precision + 1, d):
+            sigma[n] += p
+    c = Fraction(-2 * k) / bernoulli(k)
+    return _series(Fraction(0), 1, [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
+
+
+def _pentagonal(n: int) -> list:
+    """The nonzero terms (m, sign) of prod_{j>=1} (1 - q^j) through q^n, m >= 1:
+    by Euler's pentagonal theorem, sign (-1)^i at m = i(3i -+ 1)/2."""
+    out, i = [], 1
+    while i * (3 * i - 1) // 2 <= n:
+        out += [(m, (-1) ** i) for m in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if m <= n]
+        i += 1
     return out
 
 
@@ -69,38 +59,37 @@ def eta_power(exponent, precision: int) -> QSeries:
     """eta^e = q^(e/24) prod_{n>=1} (1-q^n)^e, truncated.
 
     The product part is known through q^precision, so the window top is
-    e/24 + precision.  Rational and negative exponents are allowed.
+    e/24 + precision.  Rational and negative exponents are allowed.  The
+    power g = f^e of the pentagonal series f follows J.C.P. Miller's
+    recurrence m g_m = sum_k ((e+1)k - m) f_k g_{m-k} (Knuth, TAOCP 2, 4.7).
     """
     e = _rat(exponent)
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
-    prod = QSeries.one(precision)
-    for n in range(1, precision + 1):
-        factor_coeffs = [Fraction(0)] * (precision + 1)
-        factor_coeffs[0] = Fraction(1)
-        c = Fraction(1)
-        for m in range(1, precision // n + 1):
-            c = c * (e - m + 1) / m
-            factor_coeffs[n * m] = c if m % 2 == 0 else -c
-        prod = mul(prod, QSeries(0, factor_coeffs))
-    return _series(e / 24, 1, prod.nums, prod.scale)
+    # With e + 1 = a/b, g_m = sum_k (a k - b m) f_k g_{m-k} / (b m): the
+    # recursion runs on integers nums[j] = g_j * scale over a running scale.
+    a, b = e.numerator + e.denominator, e.denominator
+    f = _pentagonal(precision)
+    nums, scale = [1], 1
+    for m in range(1, precision + 1):
+        acc = sum(sign * (a * k - b * m) * nums[m - k] for k, sign in f if k <= m)
+        nums = [x * b * m for x in nums] + [acc]
+        scale *= b * m
+    return _series(e / 24, 1, nums, scale)
 
 
+@lru_cache(maxsize=None, typed=True)
 def delta(precision: int) -> QSeries:
     """Discriminant form, checked against its two classical expressions.
 
     Computed as eta^24 and as (E_4^3 - E_6^2)/1728; a mismatch is fatal.
     """
-    hit = _delta_cache.get(precision)
-    if hit is not None:
-        return hit
     via_eta = eta_power(24, precision)
     e4 = eisenstein(4, precision + 1)
     e6 = eisenstein(6, precision + 1)
     via_eis = (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
     if via_eta != via_eis:
         raise InternalCheckError("delta mismatch between eta^24 and Eisenstein routes")
-    _delta_cache[precision] = via_eta
     return via_eta
 
 

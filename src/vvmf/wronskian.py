@@ -14,7 +14,7 @@ from .deriv import VvmfVector, derivative_vector
 from ._kernel import convolve
 from .errors import FactorizationError, PrecisionError, PreconditionError
 from .forms import eta_power
-from .qseries import QSeries, _lincomb, divide_exact
+from .qseries import QSeries, _lincomb, mul
 
 _PRECISION_MARGIN = 2
 
@@ -96,8 +96,7 @@ def wronskian_factorization(F: VvmfVector):
     w = modular_wronskian(F)
     if w.is_zero:
         raise PreconditionError("wronskian vanishes, components are dependent")
-    eta = eta_power(24 * exponent, w.precision)
-    g = divide_exact(w, eta, min(w.precision, eta.precision))
+    g = mul(w, eta_power(-24 * exponent, w.precision))
     g_weight = d * (d + k - 1) - 12 * exponent
     if g.beta != 0:
         raise FactorizationError(

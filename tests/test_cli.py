@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf.cli import main
+from vvmf.cli import _MAX_CLI_PRECISION, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -76,6 +76,44 @@ def test_mmde_order_cap(capsys, tmp_path):
     path.write_text(json.dumps({"order": 30, "weight": "0", "alphas": ["0"] * 29}), encoding="utf-8")
     rc, out = run_cli(capsys, ["mmde", "construct", "--operator", str(path)])
     assert rc == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["forms", "--series", "delta", "--precision", "100000"],
+    ["mmde", "solve", "--roots", "0,1/3,2/3", "--precision", "100000"],
+])
+def test_precision_cap(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("computed past the precision cap")
+
+    # the refusal comes before any work, so a missing cap fails fast here
+    monkeypatch.setattr(vvmf.cli.forms, "delta", refuse)
+    monkeypatch.setattr(vvmf.cli, "solve_fundamental_system", refuse)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("unsupported input:")
+
+
+def test_precision_cap_boundary(capsys):
+    argv = ["forms", "--series", "E4", "--precision"]
+    assert main(argv + [str(_MAX_CLI_PRECISION)]) == 0
+    assert main(argv + [str(_MAX_CLI_PRECISION + 1)]) == 3
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_output_past_the_int_digit_limit(capsys):
+    # order 6 at precision 90 prints integers of more than 4300 digits, the
+    # interpreter's default limit on int-to-str conversion; main lifts the
+    # limit while it builds the output and then puts it back
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        doc = run_json(capsys, ["mmde", "solve", "--roots", "1/7,3/11,5/13,17/19,1/23,2/5", "--precision", "90"])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+    coeffs = [c for comp in doc["system"]["components"] for c in comp["coeffs"]]
+    assert max(len(c) for c in coeffs) > 4300
 
 
 def test_operator_file_boolean_order_exits_2(capsys, tmp_path):

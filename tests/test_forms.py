@@ -7,8 +7,35 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf import PreconditionError, QSeries, delta, eisenstein, eta_power, mspace_basis, mul
+from vvmf import InternalCheckError, PreconditionError, QSeries, delta, eisenstein, eta_power, mspace_basis, mul
+from vvmf import forms
 from vvmf.forms import bernoulli
+from vvmf.qseries import _series
+
+from test_fused_expressions import count_calls
+
+
+def binomial_eta_power(exponent, precision: int) -> QSeries:
+    """Reference eta^e: the product of the binomial series of (1 - q^n)^e,
+    n = 1..precision, one series product per factor."""
+    e = Fraction(exponent)
+    prod = QSeries.one(precision)
+    for n in range(1, precision + 1):
+        factor_coeffs = [Fraction(0)] * (precision + 1)
+        factor_coeffs[0] = Fraction(1)
+        c = Fraction(1)
+        for m in range(1, precision // n + 1):
+            c = c * (e - m + 1) / m
+            factor_coeffs[n * m] = c if m % 2 == 0 else -c
+        prod = mul(prod, QSeries(0, factor_coeffs))
+    return _series(e / 24, 1, prod.nums, prod.scale)
+
+
+def trial_division_eisenstein(k: int, precision: int) -> QSeries:
+    """Reference E_k with each divisor sum sigma_{k-1}(n) by trial division."""
+    factor = Fraction(-2 * k) / bernoulli(k)
+    sigma = [sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0) for n in range(1, precision + 1)]
+    return QSeries(0, [1] + [factor * s for s in sigma])
 
 
 def test_bernoulli_numbers():
@@ -48,6 +75,18 @@ def test_eisenstein_guards_and_cache():
     assert eisenstein(4, 10) is eisenstein(4, 10)
 
 
+def test_eisenstein_cache_is_typed():
+    eisenstein(4, 5)
+    with pytest.raises(PreconditionError):
+        eisenstein(4.0, 5)
+
+
+def test_eisenstein_matches_trial_division():
+    for k in range(2, 15, 2):
+        for n in range(61):
+            assert eisenstein(k, n) == trial_division_eisenstein(k, n), (k, n)
+
+
 def test_eta_pentagonal_expansion():
     # Euler: prod (1-q^n) = 1 - q - q^2 + q^5 + q^7 - q^12 - q^15 + ...
     s = eta_power(1, 15)
@@ -62,6 +101,27 @@ def test_eta_power_window_and_inverse():
     assert s.precision == 10
     inv = eta_power(Fraction(3, 2), 10)
     assert mul(s, inv) == QSeries.one(10)
+
+
+ETA_EXPONENTS = [0, 1, -1, 24, -24, Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 5), Fraction(31, 7), Fraction(1, 23)]
+
+
+def test_eta_power_matches_binomial_products():
+    for e in ETA_EXPONENTS:
+        for n in range(41):
+            assert eta_power(e, n) == binomial_eta_power(e, n), (e, n)
+
+
+def test_eta_power_makes_no_series_product(monkeypatch):
+    counts = count_calls(monkeypatch)
+    eta_power(Fraction(1, 3), 60)
+    assert counts["convolve"] == 0 and counts["mul"] == 0
+
+
+def test_delta_checks_its_two_routes(monkeypatch):
+    monkeypatch.setattr(forms, "eta_power", lambda e, n: binomial_eta_power(e, n) * 2)
+    with pytest.raises(InternalCheckError):
+        delta.__wrapped__(6)
 
 
 def test_delta_expansion_and_cache():

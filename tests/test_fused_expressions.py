@@ -252,9 +252,9 @@ def test_weight_zero_derivative_keeps_the_window():
 
 
 def count_calls(monkeypatch):
-    """Count convolve and _series calls made from every vvmf module."""
-    counts = {"convolve": 0, "_series": 0}
-    targets = {"convolve": vvmf._kernel.convolve, "_series": vvmf.qseries._series}
+    """Count convolve, mul and _series calls made from every vvmf module."""
+    counts = {"convolve": 0, "mul": 0, "_series": 0}
+    targets = {"convolve": vvmf._kernel.convolve, "mul": vvmf.qseries.mul, "_series": vvmf.qseries._series}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
