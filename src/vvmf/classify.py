@@ -18,6 +18,7 @@ from .errors import (
     ReducibilityBoundaryError,
     TDeterminedRequiredError,
 )
+from .forms import _classical_dimension
 from .qseries import _rat
 
 
@@ -221,25 +222,14 @@ class HpSeries:
         return "HpSeries(k0=%s, offsets=%r)" % (self.k0, self.offsets)
 
 
-def _count_4_6(m) -> int:
-    if m < 0 or m % 2 != 0:
-        return 0
-    n = 0
-    b = 0
-    while 6 * b <= m:
-        if (m - 6 * b) % 4 == 0:
-            n += 1
-        b += 1
-    return n
-
-
 def hp_dimension(h: HpSeries, k) -> int:
     """Coefficient of t^k in the graded dimension series; 0 off the grading."""
     diff = _rat(k) - h.k0
     if diff < 0 or diff.denominator != 1 or int(diff) % 2 != 0:
         return 0
     d = int(diff)
-    return sum(_count_4_6(d - 2 * o) for o in h.offsets)
+    # the number of E_4^a E_6^b of weight d - 2o is the classical dimension
+    return sum(_classical_dimension(d - 2 * o) for o in h.offsets)
 
 
 def _require_t_determined(rep: RepInput, both: str):

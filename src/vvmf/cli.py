@@ -24,6 +24,7 @@ from .classify import (
     classify_dim5,
     dim5_data,
     hp_dimension,
+    minimal_admissible_set,
 )
 from .errors import PreconditionError, UnsupportedInputError
 from .frobenius import solve_fundamental_system
@@ -33,6 +34,7 @@ from .wronskian import wronskian_factorization
 
 _MAX_CLI_ORDER = 6
 _MAX_CLI_PRECISION = 200
+_MAX_CLI_WEIGHT = 100
 
 
 def _parse_rat(s: str) -> Fraction:
@@ -111,8 +113,13 @@ def _series_by_name(name: str, precision: int) -> QSeries:
         return forms.delta(precision)
     if name.startswith("eta^"):
         return forms.eta_power(_parse_rat(name[4:]), precision)
-    if name.startswith("E") and name[1:].isdigit():
-        return forms.eisenstein(int(name[1:]), precision)
+    if name.startswith("E") and name[1:].isdecimal():
+        # measured before int() reads them: _output lifts the interpreter's
+        # digit limit, and reading a digit string takes time quadratic in it
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_CLI_WEIGHT)) or int(digits) > _MAX_CLI_WEIGHT:
+            raise UnsupportedInputError("Eisenstein weight beyond %d is not supported" % _MAX_CLI_WEIGHT)
+        return forms.eisenstein(int(digits), precision)
     raise PreconditionError(
         "unknown series %r; use E<k>, delta, or eta^<p/q>" % name
     )
@@ -235,11 +242,18 @@ def _cmd_appendix(args) -> dict:
 def _cmd_verify_structure(args) -> dict:
     m = _multiplier_from_args(args)
     rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
-    if args.dim == 4:
-        return modstruct.dim4_structure(rep, args.precision)
-    if args.dim == 5:
-        return modstruct.dim5_structure(rep, args.precision)
-    raise UnsupportedInputError("structure verification covers dimensions 4 and 5")
+    if args.dim not in (4, 5):
+        raise UnsupportedInputError("structure verification covers dimensions 4 and 5")
+    classify, structure = (classify_dim4, modstruct.dim4_structure) if args.dim == 4 else (classify_dim5, modstruct.dim5_structure)
+    # refused where the verification would lift the precision to its working
+    # precision: after the classification's own checks, before any series
+    classify(rep)
+    steps = modstruct._grid_steps(minimal_admissible_set(rep.exponents, m.cusp_parameter)[0], args.precision)
+    if steps > _MAX_CLI_PRECISION:
+        raise UnsupportedInputError(
+            "verification needs %d grid steps, beyond the precision cap %d" % (steps, _MAX_CLI_PRECISION)
+        )
+    return structure(rep, args.precision)
 
 
 def _add_common(p) -> None:

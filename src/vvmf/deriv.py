@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernel import convolve
 from .errors import PreconditionError
 from .forms import eisenstein
-from .qseries import QSeries, _rat, _series, _spread, _theta, mul
+from .qseries import QSeries, _pair, _rat, _series, _sum, _theta, mul
 
 
 class VvmfVector:
@@ -87,30 +86,30 @@ class VvmfVector:
         )
 
 
-def _derive(beta: Fraction, den: int, nums, scale: int, k: Fraction):
-    """Numerators and scale of D_k on q^beta * sum_t (nums[t] / scale) q^(t/den),
-    on the input's window with no content pass; no product at k = 0 or on zero."""
-    theta, m = _theta(beta, den, nums)
-    c = k / 12
-    if not c or not any(nums):
-        return theta, scale * m
-    e2 = eisenstein(2, len(nums) - 1)
-    conv = convolve(_spread(e2, den), nums, len(nums))
-    # theta / (scale m) - a conv / (scale b) over scale m b
-    a, b = c.numerator, c.denominator * e2.scale
-    return [b * x - a * m * y for x, y in zip(theta, conv)], scale * m * b
+def _derive(beta: Fraction, den: int, f, k: Fraction, *terms) -> tuple:
+    """The pair of D_k f plus the further _sum terms, for the pair f = (nums, scale)
+    of q^beta * sum_t (nums[t] / scale) q^(t/den), on f's window, with no content pass."""
+    n = len(f[0]) - 1
+    return _sum(n, [(1, _theta(beta, den, f), None, 0), (-k / 12, _pair(eisenstein(2, n), den), f, 0), *terms])
 
 
 def modular_derivative(f: QSeries, k) -> QSeries:
     """D_k f = q df/dq - (k/12) E_2 f, known on the window of f."""
-    nums, scale = _derive(f.beta, f.den, f.nums, f.scale, _rat(k))
-    return _series(f.beta, f.den, nums, scale)
+    return _series(f.beta, f.den, *_derive(f.beta, f.den, _pair(f), _rat(k)))
 
 
 def derivative_vector(F: VvmfVector) -> VvmfVector:
     """Apply D at the vector's weight; weight tag rises by 2."""
     comps = [modular_derivative(f, F.weight) for f in F.components]
     return VvmfVector(F.weight + 2, comps, F.exponents)
+
+
+def _ladder(F: VvmfVector, n: int) -> list:
+    """[F, DF, ..., D^n F], each derivative taken at the weight of the one before."""
+    out = [F]
+    for _ in range(n):
+        out.append(derivative_vector(out[-1]))
+    return out
 
 
 def iterate_derivative(f, k, n: int):
@@ -124,10 +123,7 @@ def iterate_derivative(f, k, n: int):
     if isinstance(f, VvmfVector):
         if k is not None:
             raise PreconditionError("vector input carries its own weight")
-        out = f
-        for _ in range(n):
-            out = derivative_vector(out)
-        return out
+        return _ladder(f, n)[-1]
     k = _rat(k)
     out = f
     for i in range(n):

@@ -11,13 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._kernel import convolve
 from .classify import RationalAngle
-from .deriv import VvmfVector
+from .deriv import VvmfVector, _derive
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .mmde import Mmde, indicial_polynomial
-from .qseries import _lincomb, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
+from .qseries import _ZERO, QSeries, _lincomb, _pair, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
 
 
 def theta_form(L, precision: int) -> list:
@@ -28,35 +27,22 @@ def theta_form(L, precision: int) -> list:
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
     n, k = L.order, L.weight
-    size = precision + 1
-    e2 = eisenstein(2, precision)
-    # prefixes[t] = (rows, scale) with D_k^t = sum_i (rows[i] / scale)(q) theta^i
-    prefixes = [([[1] + [0] * precision], 1)]
+    # prefixes[t][i] is the pair of the coefficient of theta^i in D_k^t, stepped
+    # by D(r theta^i) = D(r) theta^i + r theta^(i+1); the top coefficient stays 1
+    zero = _pair(QSeries.zero(0))
+    prefixes = [[_pair(QSeries.one(precision))]]
     for t in range(n):
-        w = Fraction(k + 2 * t, 12)
-        a, b = w.numerator, w.denominator * e2.scale
-        rows, scale = prefixes[-1]
-        # row i of the next level: (b (rows[i-1] + theta rows[i]) - a E_2 rows[i]) / (scale b)
-        new = [[b * u * x for u, x in enumerate(r)] for r in rows] + [[0] * size]
-        for i, r in enumerate(rows):
-            if a and any(r):
-                new[i] = [x - a * y for x, y in zip(new[i], convolve(e2.nums, r, size))]
-            new[i + 1] = [x + b * y for x, y in zip(new[i + 1], r)]
-        prefixes.append((new, scale * b))
-    rows, scale = prefixes[n]
-    terms = [[(1, scale, 0, r)] for r in rows]
+        rows = prefixes[-1]
+        derived = [_derive(_ZERO, 1, r, k + 2 * t, (1, prev, None, 0)) for r, prev in zip(rows, [zero] + rows)]
+        prefixes.append(derived + rows[-1:])
+    terms = [[(1, r, None, 0)] for r in prefixes[n]]
     for l in range(2, n + 1):
-        alpha = L.alphas[l - 2]
-        if alpha:
-            el = eisenstein(2 * l, precision)
-            part, s = prefixes[n - l]
-            for i, r in enumerate(part):
-                if any(r):
-                    terms[i].append((alpha.numerator, alpha.denominator * el.scale * s, 0, convolve(el.nums, r, size)))
+        el = _pair(eisenstein(2 * l, precision))
+        for i, r in enumerate(prefixes[n - l]):
+            terms[i].append((L.alphas[l - 2], el, r, 0))
     if L.cusp_c is not None:
-        dl = delta(precision)
-        terms[0].append((L.cusp_c.numerator, L.cusp_c.denominator * dl.scale, 1, dl.nums))
-    out = [_lincomb(Fraction(0), 1, precision, ts) for ts in terms]
+        terms[0].append((L.cusp_c, _pair(delta(precision)), None, 1))
+    out = [_lincomb(_ZERO, 1, precision, ts) for ts in terms]
     if not (out[n].beta == 0 and out[n].coefficient_at(Fraction(0)) == 1):
         raise InternalCheckError("theta form lost monicity")
     return out

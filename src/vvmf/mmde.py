@@ -14,11 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._kernel import convolve
 from .deriv import _derive
 from .errors import InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
-from .qseries import QSeries, _lincomb, _rat, _record_rationals, _spread
+from .qseries import QSeries, _lincomb, _pair, _rat, _record_rationals
 
 _TRIAL_DIVISION_CAP = 2_000_000
 
@@ -204,22 +203,15 @@ def apply(L, f: QSeries) -> QSeries:
         raise PreconditionError("operand must be a QSeries")
     n, k = L.order, L.weight
     beta, den, top = f.beta, f.den, f.precision
-    # the ladder D^i f as raw numerators over a running scale, on f's window
-    ladder = [(f.nums, f.scale)]
+    # the ladder D^i f as raw pairs, on f's window
+    ladder = [_pair(f)]
     for i in range(n):
-        ladder.append(_derive(beta, den, *ladder[-1], k + 2 * i))
-    nums, scale = ladder[n]
-    terms = [(1, scale, 0, nums)]
+        ladder.append(_derive(beta, den, ladder[-1], k + 2 * i))
+    terms = [(1, ladder[n], None, 0)]
     for l in range(2, n + 1):
-        a = L.alphas[l - 2]
-        nums, scale = ladder[n - l]
-        if a and any(nums):
-            e = eisenstein(2 * l, top)
-            terms.append((a.numerator, a.denominator * e.scale * scale, 0, convolve(_spread(e, den), nums, top + 1)))
-    c = L.cusp_c
-    if c is not None and not f.is_zero:
-        dl = delta(top)
-        terms.append((c.numerator, c.denominator * dl.scale * f.scale, den, convolve(_spread(dl, den), f.nums, top + 1)))
+        terms.append((L.alphas[l - 2], _pair(eisenstein(2 * l, top), den), ladder[n - l], 0))
+    if L.cusp_c is not None:
+        terms.append((L.cusp_c, _pair(delta(top), den), ladder[0], den))
     return _lincomb(beta, den, top, terms)
 
 

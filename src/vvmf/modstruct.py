@@ -22,7 +22,7 @@ from .classify import (
     hp_dimension,
     minimal_admissible_set,
 )
-from .deriv import VvmfVector, derivative_vector
+from .deriv import VvmfVector, _ladder, derivative_vector
 from .errors import DivisibilityError, PrecisionError, PreconditionError
 from .forms import delta, eisenstein, mspace_basis
 from .frobenius import monodromy_T, solve_fundamental_system
@@ -57,10 +57,7 @@ def d_iterate_generators(F: VvmfVector, n: int) -> list:
         raise PreconditionError("iterate count must be in 1..d")
     if not _independent_components(F):
         raise PreconditionError("components must be linearly independent")
-    out = [F]
-    for _ in range(n - 1):
-        out.append(derivative_vector(out[-1]))
-    return out
+    return _ladder(F, n - 1)
 
 
 def module_products(generators, target_weight) -> list:
@@ -211,13 +208,6 @@ def _kill_thresholds(F: VvmfVector, extra=()):
     return [2 if j in extra else 1 for j in range(F.d)]
 
 
-def _derivative_ladder(F: VvmfVector, top: int):
-    ladder = [F]
-    for _ in range(top):
-        ladder.append(derivative_vector(ladder[-1]))
-    return ladder
-
-
 def eis_candidates(F: VvmfVector, top_power: int, min_gap: int = 0) -> list:
     """Candidate vectors E_gap * D^m F at the single weight
     F.weight + 2*top_power + min_gap, one per derivative order m.
@@ -227,7 +217,7 @@ def eis_candidates(F: VvmfVector, top_power: int, min_gap: int = 0) -> list:
     factor."""
     if min_gap not in (0, 4):
         raise PreconditionError("minimum gap must be 0 or 4")
-    ladder = _derivative_ladder(F, top_power)
+    ladder = _ladder(F, top_power)
     out = []
     for m in range(top_power, -1, -1):
         gap = 2 * (top_power - m) + min_gap

@@ -118,46 +118,68 @@ def _series(beta: Fraction, den: int, nums, scale: int) -> "QSeries":
     return _raw(beta, den, tuple(nums), scale)
 
 
-def _lincomb(beta: Fraction, den: int, n: int, terms) -> "QSeries":
-    """The canonical q^beta * sum_{t<=n} c_t q^(t/den), c_t = sum of p * nums[t - off]
-    / scale over the terms (p, scale, off, nums): one content pass for a whole sum.
+def _sum(n: int, terms) -> tuple:
+    """Numerators and scale of sum c * a * b through step n, with no content pass.
 
-    Parts past the window n are dropped, but a zero sum with a nonzero term past
-    it raises PrecisionError, as a zero series does in add.
+    Each term (c, a, b, off) has an int or Fraction c and (nums, scale) pairs a
+    and b on one grid; b is None for a plain term.  The product a * b, cut to
+    the shorter operand, is one convolve; the term starts at step off.  The
+    scale is the lcm of the term scales.  Zero terms are skipped and parts past
+    step n are dropped, but a zero sum with a nonzero term starting past n
+    raises PrecisionError, as a zero series does in add.
     """
+    parts = []
     scale = 1
-    for _, s, _, _ in terms:
+    late = False
+    for c, (nums, s), b, off in terms:
+        if not c or not any(nums) or b is not None and not any(b[0]):
+            continue
+        if b is not None:
+            short = min(len(nums), len(b[0]))
+            if off > n:
+                late = late or any(convolve(nums, b[0], short))
+                continue
+            nums, s = convolve(nums, b[0], min(short, n + 1 - off)), s * b[1]
+        elif off > n:
+            late = True
+            continue
+        s *= c.denominator
+        parts.append((c.numerator, s, off, nums))
         if scale % s:
             scale = _lcm(scale, s)
     out = [0] * (n + 1)
-    late = False
-    for p, s, off, nums in terms:
-        if off > n:
-            late = late or any(nums)
-            continue
+    for p, s, off, nums in parts:
         m = p * (scale // s)
         end = min(n + 1, off + len(nums))
         out[off:end] = [y + m * x for y, x in zip(out[off:end], nums)]
     if late and not any(out):
         raise PrecisionError("a term starts past the window of a zero sum")
-    return _series(beta, den, out, scale)
+    return out, scale
 
 
-def _theta(beta: Fraction, den: int, nums):
-    """Numerators and scale factor of q d/dq on q^beta * sum_t nums[t] q^(t/den):
-    with beta = p/q, step t has exponent (p den + q t) / (q den)."""
+def _lincomb(beta: Fraction, den: int, n: int, terms) -> "QSeries":
+    """The canonical q^beta * sum_{t<=n} c_t q^(t/den) of a _sum: one content pass."""
+    return _series(beta, den, *_sum(n, terms))
+
+
+def _theta(beta: Fraction, den: int, f) -> tuple:
+    """The pair of q d/dq on the pair f = (nums, scale) of q^beta * sum_t
+    (nums[t] / scale) q^(t/den): with beta = p/q, step t has exponent
+    (p den + q t) / (q den)."""
     p, q = beta.numerator, beta.denominator
-    return [x * (p * den + q * t) for t, x in enumerate(nums)], q * den
+    nums, scale = f
+    return [x * (p * den + q * t) for t, x in enumerate(nums)], scale * q * den
 
 
-def _spread(s: "QSeries", den: int):
-    """Numerators of s resampled onto the finer grid den (a multiple of s.den)."""
-    if den == s.den:
-        return s.nums
+def _pair(s: "QSeries", den: int = 0) -> tuple:
+    """The (nums, scale) pair of s, resampled onto the grid den when den is a
+    proper multiple of s.den."""
+    if den in (0, s.den):
+        return s.nums, s.scale
     f = den // s.den
     out = [0] * (s.precision * f + 1)
     out[::f] = s.nums
-    return out
+    return out, s.scale
 
 
 class QSeries:
@@ -250,17 +272,7 @@ class QSeries:
         if isinstance(other, QSeries):
             return mul(self, other)
         if isinstance(other, (int, Fraction)):
-            c = _rat(other)
-            p, q = c.numerator, c.denominator
-            if not p:
-                return _series(self.beta, self.den, [0] * len(self.nums), 1)
-            # gcd(p, q) = 1 and gcd(scale, *nums) = 1, so the content of
-            # (q scale, *(p nums)) is gcd(q, *nums) * gcd(scale, p)
-            gp = gcd(self.scale, p)
-            gq = gcd(q, *self.nums)
-            p //= gp
-            nums = [x // gq for x in self.nums] if gq != 1 else self.nums
-            return _raw(self.beta, self.den, tuple([x * p for x in nums]), self.scale // gp * (q // gq))
+            return _lincomb(self.beta, self.den, self.precision, [(other, _pair(self), None, 0)])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -362,7 +374,7 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     beta = b.beta if shift >= 0 else a.beta
     oa, ob = max(shift, 0), max(-shift, 0)
     n = min(oa + a.precision * (den // a.den), ob + b.precision * (den // b.den))
-    return _lincomb(beta, den, n, [(1, a.scale, oa, _spread(a, den)), (1, b.scale, ob, _spread(b, den))])
+    return _lincomb(beta, den, n, [(1, _pair(a, den), None, oa), (1, _pair(b, den), None, ob)])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -370,10 +382,8 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     if a.is_zero or b.is_zero:
         return QSeries.zero(min(a.precision, b.precision))
     den = _lcm(a.den, b.den)
-    ia = _spread(a, den)
-    ib = _spread(b, den)
-    raw = convolve(ia, ib, min(len(ia), len(ib)))
-    return _series(a.beta + b.beta, den, raw, a.scale * b.scale)
+    n = min(a.precision * (den // a.den), b.precision * (den // b.den))
+    return _lincomb(a.beta + b.beta, den, n, [(1, _pair(a, den), _pair(b, den), 0)])
 
 
 def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
@@ -385,8 +395,8 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             raise PrecisionError("requested precision exceeds the known window")
         return QSeries.zero(precision)
     den = _lcm(a.den, b.den)
-    ia = _spread(a, den)
-    ib = _spread(b, den)
+    ia, _ = _pair(a, den)
+    ib, _ = _pair(b, den)
     if precision > min(len(ia), len(ib)) - 1:
         raise PrecisionError(
             f"requested precision {precision} exceeds joint precision "
@@ -415,5 +425,4 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
 
 def q_derivative(a: QSeries) -> QSeries:
     """Apply q d/dq termwise: c q^x becomes x c q^x."""
-    nums, m = _theta(a.beta, a.den, a.nums)
-    return _series(a.beta, a.den, nums, a.scale * m)
+    return _series(a.beta, a.den, *_theta(a.beta, a.den, _pair(a)))

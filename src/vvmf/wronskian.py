@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .deriv import VvmfVector, derivative_vector
-from ._kernel import convolve
+from .deriv import VvmfVector, _ladder
 from .errors import FactorizationError, PrecisionError, PreconditionError
 from .forms import eta_power
-from .qseries import QSeries, _lincomb, mul
+from .qseries import QSeries, _lincomb, _pair, mul
 
 _PRECISION_MARGIN = 2
 
@@ -26,9 +25,7 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
         raise PrecisionError(
             "wronskian needs component precision at least %d" % (d + _PRECISION_MARGIN)
         )
-    rows = [F]
-    for _ in range(d - 1):
-        rows.append(derivative_vector(rows[-1]))
+    rows = _ladder(F, d - 1)
     mat = [list(r.components) for r in rows]
     # determinant by expanding one row at a time over column subsets
     minors = {(j,): mat[0][j] for j in range(d)}
@@ -65,8 +62,7 @@ def _product_sum(terms) -> QSeries:
         return QSeries.zero(top)
     start = min(a.beta + b.beta for _, a, b in parts)
     return _lincomb(start, 1, (top - start).__floor__(), [
-        (sign, a.scale * b.scale, int(a.beta + b.beta - start), convolve(a.nums, b.nums, min(len(a.nums), len(b.nums))))
-        for sign, a, b in parts])
+        (sign, _pair(a), _pair(b), int(a.beta + b.beta - start)) for sign, a, b in parts])
 
 
 def weight_lower_bound(d: int, lam, n):

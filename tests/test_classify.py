@@ -230,3 +230,22 @@ def test_hp_dimension_sums_over_offsets():
     assert hp_dimension(h, 2) == 1
     assert hp_dimension(h, 4) == 2
     assert hp_dimension(h, 6) == 2
+
+
+def count_4_6(m) -> int:
+    """The number of (a, b) with 4a + 6b = m, counted one b at a time: the loop
+    hp_dimension ran before it used the closed form."""
+    if m < 0 or m % 2 != 0:
+        return 0
+    return sum(1 for b in range(m // 6 + 1) if (m - 6 * b) % 4 == 0)
+
+
+def test_hp_dimension_matches_the_monomial_count():
+    hs = [HpSeries(0, (0,)), HpSeries(F(1, 2), (0, 1, 1, 3)), HpSeries(-4, (0, 2, 5))]
+    for h in hs:
+        for d in range(-50, 1200):
+            k = h.k0 + d
+            assert hp_dimension(h, k) == sum(count_4_6(d - 2 * o) for o in h.offsets)
+    # the count took m/6 steps; the closed form answers at once
+    assert hp_dimension(HpSeries(0, (0,)), 10**12) == 10**12 // 12 + 1
+    assert hp_dimension(HpSeries(2, (0, 1)), 10**12 + 2) == 2 * (10**12 // 12) + 1

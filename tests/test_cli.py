@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf.cli import _MAX_CLI_PRECISION, main
+from vvmf.cli import _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -98,6 +98,68 @@ def test_precision_cap_boundary(capsys):
     argv = ["forms", "--series", "E4", "--precision"]
     assert main(argv + [str(_MAX_CLI_PRECISION)]) == 0
     assert main(argv + [str(_MAX_CLI_PRECISION + 1)]) == 3
+
+
+def refuse(*args):
+    raise AssertionError("computed past a cap")
+
+
+@pytest.mark.parametrize("series", ["E%d" % (_MAX_CLI_WEIGHT + 2), "E100000", "E" + "7" * 5000])
+def test_weight_cap(capsys, monkeypatch, series):
+    # Bernoulli numbers take O(k^2) Fraction steps, so a missing cap would
+    # compute for a long time; patched, it fails at once
+    monkeypatch.setattr(vvmf.cli.forms, "eisenstein", refuse)
+    monkeypatch.setattr(vvmf.cli.forms, "bernoulli", refuse)
+
+    # reading a digit string costs time quadratic in its length, so the
+    # cap is checked on the length first
+    def short_int(x, *args):
+        assert len(str(x)) <= len(str(_MAX_CLI_WEIGHT)), "read a long digit string"
+        return int(x, *args)
+
+    monkeypatch.setattr(vvmf.cli, "int", short_int, raising=False)
+    assert main(["forms", "--series", series, "--precision", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("unsupported input:")
+
+
+def test_weight_cap_boundary(capsys):
+    assert main(["forms", "--series", "E%d" % _MAX_CLI_WEIGHT, "--precision", "2"]) == 0
+    assert main(["forms", "--series", "E000%d" % _MAX_CLI_WEIGHT, "--precision", "2"]) == 0
+    assert main(["forms", "--series", "E%d" % (_MAX_CLI_WEIGHT + 1), "--precision", "2"]) == 3
+    # a digit that int() does not read is an unknown series, not a traceback
+    assert main(["forms", "--series", "E\u00b2", "--precision", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # lcm 1009: 2026 grid steps
+    ["--dim", "4", "--r", "1/1009,2/1009,1006/1009,0", "--assert-t-determined"],
+    ["--dim", "4", "--r", "1/1009,2/1009,1006/1009,0", "--assert-t-determined", "--epsilon", "-1"],
+    # lcm 97: 2 * 97 + 8 = 202 grid steps, one lcm past the cap
+    ["--dim", "4", "--r", "1/97,2/97,94/97,0", "--assert-t-determined"],
+    ["--dim", "5", "--r", "1/97,2/97,3/97,91/97,0", "--assert-t-determined"],
+])
+def test_working_precision_cap(capsys, monkeypatch, argv):
+    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
+    monkeypatch.setattr(vvmf.cli.modstruct, "dim5_structure", refuse)
+    assert main(["verify-structure"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "grid steps" in err
+
+
+def test_working_precision_cap_boundary(capsys, monkeypatch):
+    # lcm 96 needs 2 * 96 + 8 = 200 steps, exactly the cap
+    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", lambda rep, precision: {"ran": True})
+    argv = ["verify-structure", "--dim", "4", "--r", "1/96,31/96,0,1/3", "--assert-t-determined"]
+    assert run_json(capsys, argv) == {"ran": True}
+    # an input that fails the classification's own checks still exits 2
+    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
+    assert main(["verify-structure", "--dim", "4", "--r", "1/1009,2/1009,1006/1009,0"]) == 2
+
+
+def test_hp_at_a_huge_weight(capsys):
+    doc = run_json(capsys, ["hp", "--k0", "0", "--offsets", "0", "--weight", str(10**12)])
+    assert doc["dim"] == 10**12 // 12 + 1
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")

@@ -9,6 +9,8 @@ must give the same series, window included, by exact ==.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 from fractions import Fraction
 
@@ -192,6 +194,15 @@ def test_theta_form_cusp_term_needs_a_window():
         theta_form(L, 0)
 
 
+def test_residual_cusp_product_needs_a_window():
+    # on the constant 1 known only at q^0 every ladder term vanishes, and
+    # c Delta * 1 starts at q^1, past the window of that zero sum
+    one = QSeries.one(0)
+    with pytest.raises(PrecisionError):
+        apply(appendix_family(APPENDIX_EXPONENTS, Fraction(-7, 3)), one)
+    assert apply(appendix_family(APPENDIX_EXPONENTS, 0), one).is_zero
+
+
 def test_wronskian_rows_with_zero_entries_match_pairwise():
     # D_1 kills the eta^2 component of the roots (1/12, 1/4) and D_2 the
     # eta^4 component of (1/12, 1/6, 3/4), so the derivative rows hold zero
@@ -288,3 +299,14 @@ def test_solve_and_apply_call_counts(monkeypatch):
         assert counts["_series"] - before == 1
     assert counts["convolve"] == 70
     assert solved <= d + n + 2
+
+
+def test_only_qseries_holds_the_kernel():
+    # every series product runs through the qseries primitive, which alone
+    # knows the integer numerator-over-scale format
+    holders = []
+    for info in pkgutil.iter_modules(vvmf.__path__):
+        mod = importlib.import_module("vvmf." + info.name)
+        if any(obj is vvmf._kernel.convolve for obj in vars(mod).values()):
+            holders.append(info.name)
+    assert sorted(holders) == ["_kernel", "qseries"]
