@@ -132,7 +132,7 @@ def _operator_from_args(args) -> Mmde:
         try:
             with open(args.operator, "r", encoding="utf-8") as fh:
                 L = Mmde.from_record(json.load(fh))
-        except (OSError, ValueError, PreconditionError) as e:
+        except (OSError, ValueError, RecursionError, PreconditionError) as e:
             raise PreconditionError("cannot read operator file %r: %r" % (args.operator, e)) from e
         if L.order > _MAX_CLI_ORDER:
             raise UnsupportedInputError("operators beyond order 6 are not supported")
@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        # argparse drops a "--" value, so --flag=-- leaves an unconverted []
+        if [] in vars(args).values():
+            raise PreconditionError("a flag was given the value '--'")
         if args.precision > _MAX_CLI_PRECISION:
             raise UnsupportedInputError("precision beyond %d is not supported" % _MAX_CLI_PRECISION)
         out = _output(args)

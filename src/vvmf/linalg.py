@@ -2,7 +2,9 @@
 
 Rows are cleared to integers and reduced by fraction-free (Bareiss)
 elimination, so all intermediate divisions are exact integer divisions.
-Pivoting is deterministic: first nonzero entry in row order.
+Pivoting is deterministic: first nonzero entry in row order.  The
+elimination works a column at a time, so rank reads no column past the one
+where every row holds a pivot.
 """
 
 from __future__ import annotations
@@ -12,50 +14,61 @@ from math import gcd
 
 
 def _integer_rows(rows) -> list[list[int]]:
+    """Each row of ints and Fractions times the lcm of its denominators."""
     out = []
     for row in rows:
         scale = 1
-        frs = [Fraction(x) for x in row]
-        for x in frs:
-            scale = scale // gcd(scale, x.denominator) * x.denominator
-        out.append([int(x * scale) for x in frs])
+        for x in row:
+            d = x.denominator
+            if scale % d:
+                scale = scale // gcd(scale, d) * d
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
-def _echelon(rows, ncols: int):
-    """Bareiss forward elimination; returns (pivot rows, pivot columns)."""
+def _echelon(rows, ncols: int, stop: bool = False):
+    """Bareiss forward elimination; returns (pivot rows, pivot columns).
+
+    Column c is read from the integer rows and brought up to date by replaying
+    every earlier pivot step on it alone, which is the same integer arithmetic
+    as updating whole rows at each pivot.  With stop, no column is read once
+    every row holds a pivot, and the pivot rows are cut there.
+    """
     m = _integer_rows(rows)
+    n = len(m)
+    order = list(range(n))
+    steps = []  # per pivot k: its column, pivot at k and multipliers below
     piv_cols = []
-    r = 0
-    prev = 1
+    done = []  # per column read: its entries in the pivot rows
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        for i in range(r + 1, len(m)):
-            a = m[i][c]
-            mi, mr = m[i], m[r]
-            for j in range(c, ncols):
-                mi[j] = (p * mi[j] - a * mr[j]) // prev
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == len(m):
+        r = len(steps)
+        if stop and r == n:
             break
-    return m[:r], piv_cols
+        v = [m[i][c] for i in order]
+        prev = 1
+        for k, s in enumerate(steps):
+            p, a = s[k], v[k]
+            for i in range(k + 1, n):
+                v[i] = (p * v[i] - s[i] * a) // prev
+            prev = p
+        pr = next((i for i in range(r, n) if v[i]), None)
+        if pr is not None:
+            if pr != r:
+                order[r], order[pr] = order[pr], order[r]
+                for s in steps + [v]:
+                    s[r], s[pr] = s[pr], s[r]
+            steps.append(v)
+            piv_cols.append(c)
+            r += 1
+        done.append(v[:r])
+    ech = [[col[k] if k < len(col) else 0 for col in done] for k in range(len(steps))]
+    return ech, piv_cols
 
 
 def rank(rows, ncols: int) -> int:
     if not rows:
         return 0
-    return len(_echelon(rows, ncols)[1])
+    return len(_echelon(rows, ncols, stop=True)[1])
 
 
 def kernel_vector(rows, ncols: int):

@@ -10,7 +10,7 @@ one-parameter family.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd
+from math import lcm as _lcm
 
 from . import linalg
 from .classify import (
@@ -27,7 +27,7 @@ from .errors import DivisibilityError, PrecisionError, PreconditionError
 from .forms import delta, eisenstein, mspace_basis
 from .frobenius import monodromy_T, solve_fundamental_system
 from .mmde import appendix_family, apply, indicial_polynomial, unique_operator
-from .qseries import QSeries, divide_exact
+from .qseries import QSeries, _numerators_at, divide_exact
 
 
 def _independent_components(F: VvmfVector) -> bool:
@@ -45,7 +45,7 @@ def _independent_components(F: VvmfVector) -> bool:
         cols = int((hi - lo).__floor__()) + 1
         if cols < len(fs):
             raise PrecisionError("not enough precision to certify independence")
-        rows = [[f.coefficient_at(lo + t) for t in range(cols)] for f in fs]
+        rows = [_numerators_at(f, lo, cols, f.scale) for f in fs]
         if linalg.rank(rows, cols) != len(fs):
             return False
     return True
@@ -96,11 +96,10 @@ def _stacked_rows(vectors, max_cols=None):
         caps.append(cap)
     rows = []
     for v in vectors:
+        scale = _lcm(*[f.scale for f in v.components])
         row = []
-        for j in range(d):
-            lam = first.exponents[j]
-            f = v.components[j]
-            row.extend(f.coefficient_at(lam + t) for t in range(caps[j] + 1))
+        for f, lam, cap in zip(v.components, first.exponents, caps):
+            row += _numerators_at(f, lam, cap + 1, scale)
         rows.append(row)
     return rows, sum(c + 1 for c in caps)
 
@@ -196,10 +195,7 @@ def _shifted_system(lams_sorted, n_shift: int, precision: int):
 
 def _grid_steps(lams, precision: int) -> int:
     """Working precision in grid steps: at least two integer windows."""
-    den = 1
-    for lam in lams:
-        den = den * lam.denominator // _gcd(den, lam.denominator)
-    return max(precision, 2 * den + 8)
+    return max(precision, 2 * _lcm(*[lam.denominator for lam in lams]) + 8)
 
 
 def _kill_thresholds(F: VvmfVector, extra=()):

@@ -182,6 +182,19 @@ def _pair(s: "QSeries", den: int = 0) -> tuple:
     return out, s.scale
 
 
+def _numerators_at(s: "QSeries", lo, count: int, scale: int) -> list:
+    """The coefficients of s at lo, lo + 1, ..., lo + count - 1 times scale, a
+    multiple of s.scale: zero off the grid and below beta.  The window must
+    reach lo + count - 1."""
+    out = [0] * count
+    step = (lo - s.beta) * s.den
+    if step.denominator == 1:
+        start, den, m = int(step), s.den, scale // s.scale
+        t0 = min(count, max(0, -(start // den)))
+        out[t0:] = [x * m for x in s.nums[start + t0 * den :: den][: count - t0]]
+    return out
+
+
 class QSeries:
     """Truncated q-expansion q^beta * (c_0 + c_1 q^(1/den) + ...)."""
 
@@ -225,10 +238,14 @@ class QSeries:
 
     @classmethod
     def zero(cls, precision: int) -> "QSeries":
+        if precision < 0:
+            raise PreconditionError("precision must be >= 0")
         return _raw(_ZERO, 1, (0,) * (precision + 1), 1)
 
     @classmethod
     def one(cls, precision: int) -> "QSeries":
+        if precision < 0:
+            raise PreconditionError("precision must be >= 0")
         return _raw(_ZERO, 1, (1,) + (0,) * precision, 1)
 
     def coefficient_at(self, exponent) -> Fraction:

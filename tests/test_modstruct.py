@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from vvmf import modstruct
 from vvmf import (
     DivisibilityError,
     MultiplierSpec,
@@ -89,6 +91,39 @@ def test_vector_rank():
     other = solve_fundamental_system(unique_operator([F(1, 6), F(1, 3)]), 14)
     with pytest.raises(PreconditionError):
         vector_rank([V, other])
+
+
+def test_stacked_rows_are_scaled_coefficient_rows():
+    gens = d_iterate_generators(shifted_five(), 3)
+    for vectors in (gens, module_products(gens, gens[0].weight + 8)):
+        rows, ncols = modstruct._stacked_rows(vectors, 20)
+        assert ncols == len(rows[0])
+        widths = [
+            min(20, int((min(w.components[j].window_top for w in vectors) - lam).__floor__()) + 1)
+            for j, lam in enumerate(vectors[0].exponents)
+        ]
+        for v, row in zip(vectors, rows):
+            want = [
+                f.coefficient_at(lam + t)
+                for f, lam, width in zip(v.components, v.exponents, widths)
+                for t in range(width)
+            ]
+            scale = lcm(*[f.scale for f in v.components])
+            assert row == [x * scale for x in want]
+            assert all(type(x) is int for x in row)
+
+
+def test_rank_paths_read_no_fractions(monkeypatch):
+    V = shifted_five()
+    gens = d_iterate_generators(V, 3)
+
+    def unused(self, exponent):
+        raise AssertionError("a rank path read a coefficient as a Fraction")
+
+    monkeypatch.setattr(QSeries, "coefficient_at", unused)
+    assert len(d_iterate_generators(V, 3)) == 3
+    assert vector_rank(gens) == 3
+    assert weight_space_dimension(gens, gens[0].weight + 8, 20) > 0
 
 
 def test_weight_space_dimension_free_rank_two():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vvmf import PrecisionError, PreconditionError, QSeries, add, divide_exact, make_series, mul, q_derivative
+from vvmf.qseries import _numerators_at
 
 
 def rand_series(rng, zero_ok=True):
@@ -59,6 +60,28 @@ def test_construction_guards():
         QSeries(0.5, [1])
     with pytest.raises(PreconditionError):
         make_series(0, [1, 2], 3)
+    for make in (QSeries.zero, QSeries.one):
+        with pytest.raises(PreconditionError):
+            make(-1)
+
+
+def test_numerators_at_are_scaled_coefficients():
+    # grids of 1 to 3 steps per unit; windows that start below, at and above
+    # beta, on and off the grid, and windows that end below beta
+    F = Fraction
+    series = [
+        QSeries(0, [1, 240, 2160, 6720]),
+        QSeries(F(1, 3), [F(1, 2), 0, F(-3, 4), 5, 0, F(7, 6), 1], 3),
+        QSeries(F(-5, 2), [F(2, 5), F(1, 3), 0, 4, F(-1, 7)], 2),
+        QSeries.zero(5),
+    ]
+    for f in series:
+        for lo in (f.beta - 3, f.beta - F(2, 3), f.beta, f.beta + F(1, f.den), f.beta + F(1, 2)):
+            top = int((f.window_top - lo).__floor__()) + 1
+            for count in range(max(0, top) + 1):
+                for scale in (f.scale, 6 * f.scale):
+                    want = [f.coefficient_at(lo + t) * scale for t in range(count)]
+                    assert _numerators_at(f, lo, count, scale) == want
 
 
 def test_window_and_coefficient_lookup():
