@@ -35,6 +35,7 @@ from .wronskian import wronskian_factorization
 _MAX_CLI_ORDER = 6
 _MAX_CLI_PRECISION = 200
 _MAX_CLI_WEIGHT = 100
+_MAX_CLI_WRONSKIAN = 180  # order times precision
 
 
 def _parse_rat(s: str) -> Fraction:
@@ -171,6 +172,11 @@ def _cmd_mmde_solve(args) -> dict:
 
 def _cmd_wronskian(args) -> dict:
     L = _operator_from_args(args)
+    if L.order * args.precision > _MAX_CLI_WRONSKIAN:
+        raise UnsupportedInputError(
+            "a Wronskian of order %d at precision %d is beyond the cap %d on order times precision"
+            % (L.order, args.precision, _MAX_CLI_WRONSKIAN)
+        )
     F = solve_fundamental_system(L, args.precision)
     expo, g, g_weight = wronskian_factorization(F)
     return {

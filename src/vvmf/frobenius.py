@@ -9,7 +9,7 @@ denominators never vanish.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .classify import RationalAngle
 from .deriv import VvmfVector, _derive
@@ -61,6 +61,11 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
         precision = 10 * d
     if precision < 1:
         raise PreconditionError("precision must be >= 1")
+    if roots[0] < 0:
+        raise PreconditionError(
+            "solve_fundamental_system: indicial root %s is negative, below its recorded exponent in [0, 1)"
+            % roots[0]
+        )
     for i in range(d):
         for j in range(i + 1, d):
             if (roots[i] - roots[j]).denominator == 1:
@@ -86,7 +91,9 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
     # With lam = p/q, the shift value W(u, t) = C q^n sum_i H_i[u] (lam + t)^i
     # is an integer polynomial in x = p + q t, and C q^n cancels in
     # a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s).  The recursion runs on
-    # integers A_t over a running denominator M = prod W(0, s).
+    # integers A_t over a running denominator M.  Each step takes only the
+    # part of W(0, s) that the new numerator does not cancel, so from A_0 =
+    # M = 1 the content of (M, A_0, ..., A_s) stays 1.
     comps = []
     for lam in roots:
         p, q = lam.numerator, lam.denominator
@@ -109,8 +116,10 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
             den = w(0, s)
             if den == 0:
                 raise InternalCheckError("recursion denominator vanished at a congruent shift")
+            g = gcd(acc, den)
+            den //= g
             nums = [a * den for a in nums]
-            nums.append(-acc)
+            nums.append(-acc // g)
             m *= den
         comps.append(_series(lam, 1, nums, m))
     exps = [lam - lam.__floor__() for lam in roots]

@@ -122,11 +122,24 @@ def weight_space_dimension(generators, target_weight, n_samples: int) -> int:
     """
     if n_samples < 1:
         raise PreconditionError("need at least one coefficient sample")
+    generators = list(generators)
+    # A column subset of full row rank proves full row rank, so the products
+    # of the generators cut to one grid step per generator are ranked first;
+    # only where those rows are dependent does the full window decide.
+    cut = [g.truncated(min(g.precision, len(generators))) for g in generators]
+    rank, count = _product_rank(cut, target_weight, n_samples)
+    if rank == count:
+        return rank
+    return _product_rank(generators, target_weight, n_samples)[0]
+
+
+def _product_rank(generators, target_weight, n_samples: int) -> tuple:
+    """(rank, count) of the module products at one weight, on n_samples columns per component."""
     prods = module_products(generators, target_weight)
     if not prods:
-        return 0
+        return 0, 0
     rows, ncols = _stacked_rows(prods, n_samples)
-    return linalg.rank(rows, ncols)
+    return linalg.rank(rows, ncols), len(prods)
 
 
 def delta_divisible_combination(vectors, kill_offsets):
@@ -213,7 +226,13 @@ def eis_candidates(F: VvmfVector, top_power: int, min_gap: int = 0) -> list:
     factor."""
     if min_gap not in (0, 4):
         raise PreconditionError("minimum gap must be 0 or 4")
-    ladder = _ladder(F, top_power)
+    # a negative top_power slices the ladder [F] to nothing: no candidates
+    return _eis_candidates(_ladder(F, top_power)[: top_power + 1], min_gap)
+
+
+def _eis_candidates(ladder, min_gap: int) -> list:
+    """eis_candidates(F, top_power, min_gap) from the ladder [F, DF, ..., D^{top_power} F]."""
+    top_power = len(ladder) - 1
     out = []
     for m in range(top_power, -1, -1):
         gap = 2 * (top_power - m) + min_gap
@@ -259,14 +278,15 @@ def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
     report["shifted_weight"] = F1.weight
     report["shifted_weight_is_3lambda"] = F1.weight == 3 * lam
     kills = _kill_thresholds(F1)
-    combo = delta_divisible_combination(eis_candidates(F1, 3, min_gap=4), kills)
+    ladder = _ladder(F1, 3)
+    combo = delta_divisible_combination(_eis_candidates(ladder, 4), kills)
     report["combination_exists"] = combo is not None
     if combo is not None:
         G = descend_by_delta(combo)
         report["descended_weight"] = G.weight
         report["descended_weight_matches_k0"] = G.weight == h.k0
         report["descended_nonzero"] = not G.is_zero()
-    below = delta_divisible_combination(eis_candidates(F1, 2, min_gap=4), kills)
+    below = delta_divisible_combination(_eis_candidates(ladder[:3], 4), kills)
     report["no_vector_below_k0"] = below is None
     return report
 
@@ -298,10 +318,11 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
             for kp in range(5)
         )
         return report
+    ladder = _ladder(F, 4)
     shifted = [j for j in range(5) if F.components[j].beta != F.exponents[j]]
     unshifted = [j for j in range(5) if j not in shifted]
     if n == 1:
-        combo = delta_divisible_combination(eis_candidates(F, 4, min_gap=4), _kill_thresholds(F))
+        combo = delta_divisible_combination(_eis_candidates(ladder, 4), _kill_thresholds(F))
         report["combination_exists"] = combo is not None
         if combo is not None:
             G = descend_by_delta(combo)
@@ -309,7 +330,7 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
             report["two_minimal_generators"] = vector_rank([F, G]) == 2
         return report
     if n == 2:
-        combo = delta_divisible_combination(eis_candidates(F, 4), _kill_thresholds(F))
+        combo = delta_divisible_combination(_eis_candidates(ladder, 0), _kill_thresholds(F))
         report["combination_exists"] = combo is not None
         if combo is not None:
             G = descend_by_delta(combo)
@@ -321,13 +342,13 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     if n == 3:
         avoid = (data["k_N"] - 6) / 12
         j1 = next(j for j in unshifted if F.exponents[j] != avoid)
-        combo = delta_divisible_combination(eis_candidates(F, 3), _kill_thresholds(F))
+        combo = delta_divisible_combination(_eis_candidates(ladder[:4], 0), _kill_thresholds(F))
         report["combination_exists"] = combo is not None
         g1 = descend_by_delta(combo) if combo is not None else None
         if g1 is not None:
             report["first_descent_to_k0"] = g1.weight == h.k0 and not g1.is_zero()
         combo2 = delta_divisible_combination(
-            eis_candidates(F, 4), _kill_thresholds(F, extra=(j1,))
+            _eis_candidates(ladder, 0), _kill_thresholds(F, extra=(j1,))
         )
         report["second_combination_exists"] = combo2 is not None
         if g1 is not None and combo2 is not None:
@@ -339,15 +360,15 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     avoid2 = (data["k_N"] - 6) / 12
     i1 = next(j for j in shifted if F.exponents[j] != avoid1)
     i2 = next(j for j in shifted if j != i1 and F.exponents[j] != avoid2)
-    combo = delta_divisible_combination(eis_candidates(F, 2), _kill_thresholds(F))
+    combo = delta_divisible_combination(_eis_candidates(ladder[:3], 0), _kill_thresholds(F))
     report["combination_exists"] = combo is not None
     g1 = descend_by_delta(combo) if combo is not None else None
     if g1 is not None:
         report["first_descent_to_k0"] = g1.weight == h.k0 and not g1.is_zero()
-    combo2 = delta_divisible_combination(eis_candidates(F, 3), _kill_thresholds(F, extra=(i1,)))
+    combo2 = delta_divisible_combination(_eis_candidates(ladder[:4], 0), _kill_thresholds(F, extra=(i1,)))
     report["second_combination_exists"] = combo2 is not None
     combo3 = delta_divisible_combination(
-        eis_candidates(F, 4), _kill_thresholds(F, extra=(i1, i2))
+        _eis_candidates(ladder, 0), _kill_thresholds(F, extra=(i1, i2))
     )
     report["third_combination_exists"] = combo3 is not None
     if combo2 is not None and combo3 is not None and g1 is not None:

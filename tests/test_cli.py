@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf.cli import _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, main
+from vvmf import PreconditionError
+from vvmf.cli import _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -155,6 +156,48 @@ def test_working_precision_cap_boundary(capsys, monkeypatch):
     # an input that fails the classification's own checks still exits 2
     monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
     assert main(["verify-structure", "--dim", "4", "--r", "1/1009,2/1009,1006/1009,0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["wronskian", "--roots", "1/7,3/11,5/13,17/19,1/23", "--precision", "200"],
+    ["wronskian", "--roots", "1/23,2/19,3/17,5/13,7/11,1/7", "--precision", "31"],
+    ["wronskian", "--roots", "1/23,2/19,3/17", "--precision", "61"],
+    ["wronskian", "--roots", "1/23", "--precision", "181"],
+])
+def test_wronskian_cap(capsys, monkeypatch, argv):
+    # the precision cap leaves a Wronskian of order 3 to 6 running for
+    # seconds to minutes, so order times precision is capped before any work
+    monkeypatch.setattr(vvmf.cli, "solve_fundamental_system", refuse)
+    monkeypatch.setattr(vvmf.cli, "wronskian_factorization", refuse)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "order times precision" in err
+
+
+def test_wronskian_cap_boundary(capsys, monkeypatch):
+    def reached(L, precision):
+        raise PreconditionError("solve reached at order %d" % L.order)
+
+    monkeypatch.setattr(vvmf.cli, "solve_fundamental_system", reached)
+    for order in range(1, 7):
+        roots = ",".join("%d/7" % n for n in range(order))
+        top = _MAX_CLI_WRONSKIAN // order
+        assert main(["wronskian", "--roots", roots, "--precision", str(top)]) == 2
+        assert "solve reached at order %d" % order in capsys.readouterr().err
+        assert main(["wronskian", "--roots", roots, "--precision", str(top + 1)]) == 3
+    # the default precision 30 stays accepted at every order
+    assert main(["wronskian", "--roots", "0,1/7,2/7,3/7,4/7,5/7"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mmde", "solve", "--roots=-13/23"],
+    ["wronskian", "--roots=12/5,-13/23"],
+])
+def test_negative_root_is_refused_before_the_solve(capsys, monkeypatch, argv):
+    monkeypatch.setattr(vvmf.frobenius, "theta_form", refuse)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "indicial root -13/23 is negative" in err
 
 
 def test_hp_at_a_huge_weight(capsys):

@@ -3,7 +3,9 @@ and graded-ring bases."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -110,6 +112,25 @@ def test_eta_power_matches_binomial_products():
     for e in ETA_EXPONENTS:
         for n in range(41):
             assert eta_power(e, n) == binomial_eta_power(e, n), (e, n)
+
+
+def test_eta_power_carries_no_content(monkeypatch):
+    # the Miller recurrence keeps its running scale in lowest terms, so the
+    # final content pass divides out nothing
+    contents = []
+
+    def spy(beta, den, nums, scale):
+        contents.append(gcd(scale, *nums))
+        return _series(beta, den, nums, scale)
+
+    monkeypatch.setattr(forms, "_series", spy)
+    rng = random.Random(20261018)
+    exponents = ETA_EXPONENTS + [Fraction(rng.randrange(-72, 73), rng.randrange(1, 25)) for _ in range(40)]
+    for e in exponents:
+        for n in range(0, 121, 7):
+            contents.clear()
+            eta_power(e, n)
+            assert contents == [1], (e, n)
 
 
 def test_eta_power_makes_no_series_product(monkeypatch):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from vvmf import frobenius
 from vvmf import (
     CongruentRootsError,
     PreconditionError,
@@ -115,6 +117,33 @@ def test_solve_rejects_congruent_roots():
         solve_fundamental_system(unique_operator([Fraction(1, 4), Fraction(5, 4)]))
     with pytest.raises(CongruentRootsError):
         solve_fundamental_system(unique_operator([0, 1]))
+
+
+def test_solve_refuses_a_negative_root_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("theta form computed for a negative root")
+
+    monkeypatch.setattr(frobenius, "theta_form", refuse)
+    for roots in ([Fraction(-13, 23)], [Fraction(12, 5), Fraction(-13, 23)], [-1, Fraction(1, 3)]):
+        with pytest.raises(PreconditionError, match="solve_fundamental_system: indicial root -"):
+            solve_fundamental_system(unique_operator(roots), 10)
+
+
+def test_solve_carries_no_content(mmde_corpus, monkeypatch):
+    # each recursion step keeps the running denominator in lowest terms, so
+    # the final content pass of every component divides out nothing
+    contents = []
+
+    def spy(beta, den, nums, scale):
+        contents.append(gcd(scale, *nums))
+        return _series(beta, den, nums, scale)
+
+    _series = frobenius._series
+    monkeypatch.setattr(frobenius, "_series", spy)
+    for _, L in mmde_corpus:
+        solve_fundamental_system(L, 30)
+    assert len(contents) == sum(L.order for _, L in mmde_corpus)
+    assert set(contents) == {1}
 
 
 def test_solve_precision_guard():

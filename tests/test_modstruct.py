@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from vvmf import modstruct
+from vvmf import deriv, modstruct
 from vvmf import (
     DivisibilityError,
     MultiplierSpec,
@@ -138,6 +138,68 @@ def test_weight_space_dimension_free_rank_two():
         weight_space_dimension(gens, 4, 0)
 
 
+def full_window_rank(gens, target, n_samples):
+    prods = module_products(gens, target)
+    return vector_rank(prods, n_samples) if prods else 0
+
+
+def count_product_calls(monkeypatch):
+    calls = []
+    real = modstruct.module_products
+
+    def spy(gens, target):
+        calls.append(gens[0].precision)
+        return real(gens, target)
+
+    monkeypatch.setattr(modstruct, "module_products", spy)
+    return calls
+
+
+def odd_dim4_generators():
+    lams = sorted(F(n, 30) for n in (6, 11, 16, 27))
+    F0 = solve_fundamental_system(unique_operator(lams), modstruct._grid_steps(lams, 20))
+    return d_iterate_generators(F0, 4)
+
+
+def dim5_n0_generators():
+    lams = [F(n, 12) for n in range(1, 6)]
+    F0 = solve_fundamental_system(unique_operator(lams), modstruct._grid_steps(lams, 16))
+    return d_iterate_generators(F0, 5)
+
+
+@pytest.mark.parametrize("make", [odd_dim4_generators, dim5_n0_generators])
+def test_weight_space_dimension_on_the_structure_inputs(make, monkeypatch):
+    gens = make()
+    k0, n = gens[0].weight, gens[0].precision
+    want = {(t, s): full_window_rank(gens, k0 + 2 * t, s) for t in range(9) for s in (1, 3, n)}
+    calls = count_product_calls(monkeypatch)
+    for (t, s), r in want.items():
+        assert weight_space_dimension(gens, k0 + 2 * t, s) == r, (t, s)
+    # at the weights the structure scripts check, full row rank shows on the
+    # short window, so the full window is never formed
+    calls.clear()
+    for t in range(5):
+        weight_space_dimension(gens, k0 + 2 * t, n)
+    assert calls == [len(gens)] * 5
+
+
+def test_weight_space_dimension_falls_back_to_the_full_window(monkeypatch):
+    gens = odd_dim4_generators()
+    k0, n = gens[0].weight, gens[0].precision
+    # a repeated generator makes every window rank-deficient; a generator
+    # times delta^2 vanishes on the whole short window but not on the full
+    # one.  Each target gives the repeated or vanishing generator a product.
+    repeated = gens + gens[:1]
+    vanishing = gens[:2] + [gens[0].times_form(delta(n) * delta(n), 24)]
+    cases = [(repeated, k0 + 2 * t) for t in (0, 2, 3, 4, 5)] + [(vanishing, k0 + 24 + 2 * t) for t in (0, 2, 3, 4)]
+    want = [full_window_rank(g, target, n) for g, target in cases]
+    calls = count_product_calls(monkeypatch)
+    got = [weight_space_dimension(g, target, n) for g, target in cases]
+    assert got == want
+    # each case ranked the short window, found it deficient and ranked the full one
+    assert calls == [len(g) if i % 2 == 0 else n for g, _ in cases for i in range(2)]
+
+
 def test_eis_candidates_counts_and_weights():
     V = shifted_five(16)
     plain = eis_candidates(V, 4)
@@ -265,6 +327,31 @@ def test_dim5_structure(nums, den, n, flags):
         assert r[flag], flag
     if n == 3:
         assert r["second_descent_weight"] == r["k0"] + 2
+
+
+def count_ladder_steps(monkeypatch):
+    # deriv._ladder steps with deriv.derivative_vector; modstruct's own
+    # derivative_vector calls on descended vectors are not counted
+    calls = []
+    real = deriv.derivative_vector
+
+    def spy(V):
+        calls.append(V.weight)
+        return real(V)
+
+    monkeypatch.setattr(deriv, "derivative_vector", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rep,steps", [
+    (RepInput(5, tuple(F(x, 25) for x in (1, 2, 3, 4, 15)), 1, TRIV, t_determined_asserted=True), 4),
+    (RepInput(5, tuple(F(x, 25) for x in (6, 7, 8, 13, 16)), 1, TRIV, t_determined_asserted=True), 4),
+    (RepInput(4, (F(1, 24), F(5, 24), F(7, 24), F(11, 24)), -1, TRIV, t_determined_asserted=True), 3),
+])
+def test_structure_builds_one_derivative_ladder(rep, steps, monkeypatch):
+    calls = count_ladder_steps(monkeypatch)
+    (dim5_structure if rep.dimension == 5 else dim4_structure)(rep)
+    assert len(calls) == steps
 
 
 def test_dim5_structure_needs_dim5():
