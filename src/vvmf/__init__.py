@@ -1,6 +1,8 @@
 """Exact arithmetic for monic modular differential equations and
 vector-valued modular forms on the full modular group."""
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     HpSeries,
     MultiplierSpec,
@@ -57,68 +59,5 @@ from .wronskian import modular_wronskian, weight_lower_bound, wronskian_factoriz
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongruentRootsError",
-    "DivisibilityError",
-    "FactorizationError",
-    "GradedFormBasis",
-    "HpSeries",
-    "InternalCheckError",
-    "Mmde",
-    "MultiplierSpec",
-    "ParityUnsolvableError",
-    "PrecisionError",
-    "PreconditionError",
-    "QSeries",
-    "Rat",
-    "RationalAngle",
-    "ReducibilityBoundaryError",
-    "RepInput",
-    "TDeterminedRequiredError",
-    "UnsupportedInputError",
-    "VvmfError",
-    "VvmfVector",
-    "add",
-    "appendix_demo",
-    "appendix_family",
-    "apply",
-    "classify_dim1",
-    "classify_dim2",
-    "classify_dim3",
-    "classify_dim4",
-    "classify_dim5",
-    "d_iterate_generators",
-    "delta",
-    "delta_divisible_combination",
-    "derivative_vector",
-    "descend_by_delta",
-    "dim4_parity",
-    "dim4_structure",
-    "dim5_data",
-    "dim5_structure",
-    "divide_exact",
-    "eis_candidates",
-    "eisenstein",
-    "eta_power",
-    "hp_dimension",
-    "indicial_polynomial",
-    "iterate_derivative",
-    "make_series",
-    "minimal_admissible_set",
-    "modular_derivative",
-    "modular_wronskian",
-    "module_products",
-    "monodromy_T",
-    "mspace_basis",
-    "mul",
-    "multiplier_values",
-    "q_derivative",
-    "solve_fundamental_system",
-    "t_determined_heuristic",
-    "theta_form",
-    "unique_operator",
-    "vector_rank",
-    "weight_lower_bound",
-    "weight_space_dimension",
-    "wronskian_factorization",
-]
+# every public name imported above, less the submodules that importing binds
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

@@ -35,6 +35,7 @@ from .wronskian import wronskian_factorization
 _MAX_CLI_ORDER = 6
 _MAX_CLI_PRECISION = 200
 _MAX_CLI_WEIGHT = 100
+_MAX_CLI_DIGITS = 12  # of a numerator or denominator
 _MAX_CLI_WRONSKIAN = 180  # order times precision
 
 
@@ -50,6 +51,12 @@ def _parse_rat_list(s: str):
     if not items:
         raise PreconditionError("expected a comma-separated list of rationals")
     return [_parse_rat(x) for x in items]
+
+
+def _refuse_long_rationals(*values) -> None:
+    """Exit 3 on a numerator or denominator of more than _MAX_CLI_DIGITS digits; None is skipped."""
+    if any(x is not None and max(abs(x.numerator), x.denominator) >= 10**_MAX_CLI_DIGITS for x in values):
+        raise UnsupportedInputError("rationals beyond %d digits are not supported" % _MAX_CLI_DIGITS)
 
 
 def _jsonable(x):
@@ -113,7 +120,9 @@ def _series_by_name(name: str, precision: int) -> QSeries:
     if name == "delta":
         return forms.delta(precision)
     if name.startswith("eta^"):
-        return forms.eta_power(_parse_rat(name[4:]), precision)
+        exponent = _parse_rat(name[4:])
+        _refuse_long_rationals(exponent)
+        return forms.eta_power(exponent, precision)
     if name.startswith("E") and name[1:].isdecimal():
         # measured before int() reads them: _output lifts the interpreter's
         # digit limit, and reading a digit string takes time quadratic in it
@@ -137,14 +146,17 @@ def _operator_from_args(args) -> Mmde:
             raise PreconditionError("cannot read operator file %r: %r" % (args.operator, e)) from e
         if L.order > _MAX_CLI_ORDER:
             raise UnsupportedInputError("operators beyond order 6 are not supported")
+        # stored indicial roots fix the weight and the alphas, which can be far longer
+        _refuse_long_rationals(L.cusp_c, *((L.weight, *L.alphas) if L._roots is None else L._roots))
         return L
     if not getattr(args, "roots", None):
         raise PreconditionError("supply --roots or --operator")
     roots = args.roots
     if len(roots) > _MAX_CLI_ORDER:
         raise UnsupportedInputError("construction beyond order 6 is not supported")
-    L = unique_operator(roots)
     cusp = getattr(args, "cusp", None)
+    _refuse_long_rationals(cusp, *roots)
+    L = unique_operator(roots)
     if cusp is not None and cusp != 0:
         L = Mmde(L.order, L.weight, L.alphas, cusp_c=cusp, roots=L.indicial_roots)
     return L
@@ -267,6 +279,13 @@ def _add_common(p) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
+def _add_operator_flags(p) -> None:
+    p.add_argument("--roots", type=_parse_rat_list)
+    p.add_argument("--cusp", type=_parse_rat)
+    p.add_argument("--operator")
+    _add_common(p)
+
+
 def _add_rep_flags(p) -> None:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=_parse_rat_list, required=True)
@@ -289,17 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     msub = pm.add_subparsers(dest="subcommand", required=True)
     for name, fn in (("construct", _cmd_mmde_construct), ("solve", _cmd_mmde_solve)):
         q = msub.add_parser(name)
-        q.add_argument("--roots", type=_parse_rat_list)
-        q.add_argument("--cusp", type=_parse_rat)
-        q.add_argument("--operator")
-        _add_common(q)
+        _add_operator_flags(q)
         q.set_defaults(fn=fn)
 
     p = sub.add_parser("wronskian", help="eta factorization of the wronskian")
-    p.add_argument("--roots", type=_parse_rat_list)
-    p.add_argument("--cusp", type=_parse_rat)
-    p.add_argument("--operator")
-    _add_common(p)
+    _add_operator_flags(p)
     p.set_defaults(fn=_cmd_wronskian)
 
     p = sub.add_parser("classify", help="minimal weight and generator offsets")

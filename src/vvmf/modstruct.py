@@ -200,21 +200,14 @@ def descend_by_delta(G: VvmfVector) -> VvmfVector:
     return VvmfVector(G.weight - 12, quots, G.exponents)
 
 
-def _shifted_system(lams_sorted, n_shift: int, precision: int):
+def _shifted_system(lams_sorted, n_shift: int, precision: int) -> VvmfVector:
     roots = [lam + (1 if i < n_shift else 0) for i, lam in enumerate(lams_sorted)]
-    L = unique_operator(roots)
-    return L, solve_fundamental_system(L, precision)
+    return solve_fundamental_system(unique_operator(roots), precision)
 
 
 def _grid_steps(lams, precision: int) -> int:
     """Working precision in grid steps: at least two integer windows."""
     return max(precision, 2 * _lcm(*[lam.denominator for lam in lams]) + 8)
-
-
-def _kill_thresholds(F: VvmfVector, extra=()):
-    """Thresholds forcing divisibility by the discriminant, plus one extra
-    vanishing order at the chosen components."""
-    return [2 if j in extra else 1 for j in range(F.d)]
 
 
 def eis_candidates(F: VvmfVector, top_power: int, min_gap: int = 0) -> list:
@@ -246,6 +239,15 @@ def _eis_candidates(ladder, min_gap: int) -> list:
     return out
 
 
+def _descend(ladder, min_gap: int, extra=()):
+    """The discriminant quotient of the nonzero combination of
+    _eis_candidates(ladder, min_gap) that vanishes at every lambda_j, and also
+    at lambda_j + 1 for j in extra; None when no such combination exists."""
+    kills = [2 if j in extra else 1 for j in range(ladder[0].d)]
+    combo = delta_divisible_combination(_eis_candidates(ladder, min_gap), kills)
+    return None if combo is None else descend_by_delta(combo)
+
+
 def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
     """Scripted verification of the four-dimensional structure theorem."""
     if rep.dimension != 4:
@@ -262,7 +264,7 @@ def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
         "numerator": h.numerator(),
     }
     if parity == "odd":
-        _, F = _shifted_system(lams, 0, precision)
+        F = _shifted_system(lams, 0, precision)
         report["generator_weight_matches_k0"] = F.weight == h.k0
         gens = d_iterate_generators(F, 4)
         dims = []
@@ -274,20 +276,17 @@ def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
         report["dims"] = dims
         report["dims_match"] = all(got == want for _, got, want in dims)
         return report
-    _, F1 = _shifted_system(lams, 1, precision)
+    F1 = _shifted_system(lams, 1, precision)
     report["shifted_weight"] = F1.weight
     report["shifted_weight_is_3lambda"] = F1.weight == 3 * lam
-    kills = _kill_thresholds(F1)
     ladder = _ladder(F1, 3)
-    combo = delta_divisible_combination(_eis_candidates(ladder, 4), kills)
-    report["combination_exists"] = combo is not None
-    if combo is not None:
-        G = descend_by_delta(combo)
+    G = _descend(ladder, 4)
+    report["combination_exists"] = G is not None
+    if G is not None:
         report["descended_weight"] = G.weight
         report["descended_weight_matches_k0"] = G.weight == h.k0
         report["descended_nonzero"] = not G.is_zero()
-    below = delta_divisible_combination(_eis_candidates(ladder[:3], 4), kills)
-    report["no_vector_below_k0"] = below is None
+    report["no_vector_below_k0"] = _descend(ladder[:3], 4) is None
     return report
 
 
@@ -308,7 +307,7 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
         "offsets": h.offsets,
         "numerator": h.numerator(),
     }
-    _, F = _shifted_system(lams, n, precision)
+    F = _shifted_system(lams, n, precision)
     report["anchor_weight_matches"] = F.weight == data["k_N"]
     if n == 0:
         gens = d_iterate_generators(F, 5)
@@ -322,18 +321,16 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     shifted = [j for j in range(5) if F.components[j].beta != F.exponents[j]]
     unshifted = [j for j in range(5) if j not in shifted]
     if n == 1:
-        combo = delta_divisible_combination(_eis_candidates(ladder, 4), _kill_thresholds(F))
-        report["combination_exists"] = combo is not None
-        if combo is not None:
-            G = descend_by_delta(combo)
+        G = _descend(ladder, 4)
+        report["combination_exists"] = G is not None
+        if G is not None:
             report["descended_weight_matches_k0"] = G.weight == h.k0 and not G.is_zero()
             report["two_minimal_generators"] = vector_rank([F, G]) == 2
         return report
     if n == 2:
-        combo = delta_divisible_combination(_eis_candidates(ladder, 0), _kill_thresholds(F))
-        report["combination_exists"] = combo is not None
-        if combo is not None:
-            G = descend_by_delta(combo)
+        G = _descend(ladder, 0)
+        report["combination_exists"] = G is not None
+        if G is not None:
             report["descended_weight"] = G.weight
             report["descends_to_k0"] = (
                 G.weight == data["k_N"] - 4 and G.weight == h.k0 and not G.is_zero()
@@ -342,17 +339,13 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     if n == 3:
         avoid = (data["k_N"] - 6) / 12
         j1 = next(j for j in unshifted if F.exponents[j] != avoid)
-        combo = delta_divisible_combination(_eis_candidates(ladder[:4], 0), _kill_thresholds(F))
-        report["combination_exists"] = combo is not None
-        g1 = descend_by_delta(combo) if combo is not None else None
+        g1 = _descend(ladder[:4], 0)
+        report["combination_exists"] = g1 is not None
         if g1 is not None:
             report["first_descent_to_k0"] = g1.weight == h.k0 and not g1.is_zero()
-        combo2 = delta_divisible_combination(
-            _eis_candidates(ladder, 0), _kill_thresholds(F, extra=(j1,))
-        )
-        report["second_combination_exists"] = combo2 is not None
-        if g1 is not None and combo2 is not None:
-            g2 = descend_by_delta(combo2)
+        g2 = _descend(ladder, 0, extra=(j1,))
+        report["second_combination_exists"] = g2 is not None
+        if g1 is not None and g2 is not None:
             report["second_descent_weight"] = g2.weight
             report["independent_pair"] = vector_rank([derivative_vector(g1), g2]) == 2
         return report
@@ -360,20 +353,15 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     avoid2 = (data["k_N"] - 6) / 12
     i1 = next(j for j in shifted if F.exponents[j] != avoid1)
     i2 = next(j for j in shifted if j != i1 and F.exponents[j] != avoid2)
-    combo = delta_divisible_combination(_eis_candidates(ladder[:3], 0), _kill_thresholds(F))
-    report["combination_exists"] = combo is not None
-    g1 = descend_by_delta(combo) if combo is not None else None
+    g1 = _descend(ladder[:3], 0)
+    report["combination_exists"] = g1 is not None
     if g1 is not None:
         report["first_descent_to_k0"] = g1.weight == h.k0 and not g1.is_zero()
-    combo2 = delta_divisible_combination(_eis_candidates(ladder[:4], 0), _kill_thresholds(F, extra=(i1,)))
-    report["second_combination_exists"] = combo2 is not None
-    combo3 = delta_divisible_combination(
-        _eis_candidates(ladder, 0), _kill_thresholds(F, extra=(i1, i2))
-    )
-    report["third_combination_exists"] = combo3 is not None
-    if combo2 is not None and combo3 is not None and g1 is not None:
-        g2 = descend_by_delta(combo2)
-        g3 = descend_by_delta(combo3)
+    g2 = _descend(ladder[:4], 0, extra=(i1,))
+    report["second_combination_exists"] = g2 is not None
+    g3 = _descend(ladder, 0, extra=(i1, i2))
+    report["third_combination_exists"] = g3 is not None
+    if g1 is not None and g2 is not None and g3 is not None:
         triple = [g1.times_form(eisenstein(4, g1.precision), 4), derivative_vector(g2), g3]
         report["independent_triple"] = vector_rank(triple) == 3
     return report

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from vvmf import (
     HpSeries,
@@ -91,9 +93,12 @@ def test_a3_frobenius_residuals(solved_corpus):
 
 
 def test_a4_wronskian_factorization(solved_corpus):
-    """W(F) = gamma eta^{24 lambda} with gamma nonzero and weight bound tight; E_4 F is strict."""
+    """W(F) = gamma eta^{24 lambda} with gamma the Vandermonde product of the
+    sorted roots and weight bound tight; E_4 F is strict with cofactor gamma E_4^d."""
     for roots, L, system in solved_corpus:
         d = len(roots)
+        r = sorted(roots)
+        vandermonde = prod((r[j] - r[i] for i, j in combinations(range(d), 2)), start=F(1))
         trimmed = system.truncated(d + 7)
         e, g, g_weight = wronskian_factorization(trimmed)
         assert e == sum(roots, F(0))
@@ -101,10 +106,15 @@ def test_a4_wronskian_factorization(solved_corpus):
         gamma = g.coefficient_at(F(0))
         assert gamma != 0
         assert (g - gamma * QSeries.one(g.precision)).is_zero
+        assert g == vandermonde * QSeries.one(g.precision)
         lifted = trimmed.times_form(eisenstein(4, trimmed.precision), 4)
         e2, g2, gw2 = wronskian_factorization(lifted)
         assert e2 == e
         assert gw2 == 4 * d and gw2 > 0
+        e4_power = QSeries.one(g2.precision)
+        for _ in range(d):
+            e4_power = e4_power * eisenstein(4, g2.precision)
+        assert g2 == vandermonde * e4_power
 
 
 def test_a5_cyclic_dimension_counts():

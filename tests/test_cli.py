@@ -8,13 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import vvmf
-from vvmf import PreconditionError
-from vvmf.cli import _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, main
+from vvmf import PreconditionError, unique_operator
+from vvmf.cli import _MAX_CLI_DIGITS, _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -187,6 +188,57 @@ def test_wronskian_cap_boundary(capsys, monkeypatch):
         assert main(["wronskian", "--roots", roots, "--precision", str(top + 1)]) == 3
     # the default precision 30 stays accepted at every order
     assert main(["wronskian", "--roots", "0,1/7,2/7,3/7,4/7,5/7"]) == 2
+
+
+LONG = "7" * (_MAX_CLI_DIGITS + 1)
+SIX_ROOTS = "1/7,3/11,5/13,17/19,1/23,2/5"
+
+
+def write_operator(tmp_path, roots, drop=()):
+    rec = unique_operator([Fraction(x) for x in roots.split(",")]).to_record()
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({k: v for k, v in rec.items() if k not in drop}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,operator", [
+    (["forms", "--series", "eta^%s/11" % LONG, "--precision", "200"], None),
+    (["forms", "--series", "eta^-1/%s" % LONG], None),
+    (["mmde", "solve", "--roots", "1/%s,1/3" % LONG, "--precision", "60"], None),
+    (["mmde", "construct", "--roots", SIX_ROOTS, "--cusp", LONG], None),
+    (["wronskian", "--roots", "1/3,-%s/%s" % (LONG, LONG + "1")], None),
+    (["mmde", "solve"], ("1/%s,1/3" % LONG, ())),
+    # without stored roots the alphas are checked, and these have 14 to 44 digits
+    (["wronskian"], (SIX_ROOTS, ("indicial_roots",))),
+])
+def test_rational_size_cap(capsys, monkeypatch, tmp_path, argv, operator):
+    # series coefficients grow with the digits of the inputs, so a long
+    # rational is refused before any operator or series is built
+    if operator:
+        argv = argv + ["--operator", write_operator(tmp_path, *operator)]
+    monkeypatch.setattr(vvmf.cli.forms, "eta_power", refuse)
+    monkeypatch.setattr(vvmf.cli, "unique_operator", refuse)
+    monkeypatch.setattr(vvmf.cli, "solve_fundamental_system", refuse)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "beyond %d digits" % _MAX_CLI_DIGITS in err
+
+
+def test_rational_size_cap_boundary(capsys, tmp_path):
+    top, past = "9" * _MAX_CLI_DIGITS, "1" + "0" * _MAX_CLI_DIGITS
+    for exponent, rc in (("-%s/%s" % (top, top[:-1] + "8"), 0), (past + "/7", 3), ("1/" + past, 3)):
+        assert main(["forms", "--series", "eta^" + exponent, "--precision", "3"]) == rc
+    for roots, rc in (("1/%s,1/3" % top, 0), ("1/%s,1/3" % past, 3)):
+        assert main(["mmde", "solve", "--roots", roots, "--precision", "3"]) == rc
+    for cusp, rc in (("-" + top, 0), (past, 3)):
+        assert main(["mmde", "construct", "--roots", SIX_ROOTS, "--cusp=" + cusp]) == rc
+    capsys.readouterr()
+    # a file written by construct is held to the cap on its roots, not on
+    # its weight and alphas, which are longer symmetric functions of them
+    by_roots = run_json(capsys, ["mmde", "construct", "--roots", SIX_ROOTS])
+    assert run_json(capsys, ["mmde", "construct", "--operator", write_operator(tmp_path, SIX_ROOTS)]) == by_roots
+    # hp takes no operator and no series name, and stays uncapped
+    assert run_json(capsys, ["hp", "--k0", past, "--offsets", "0", "--weight", past])["dim"] == 1
 
 
 @pytest.mark.parametrize("argv", [
