@@ -144,7 +144,8 @@ def t_determined_heuristic(r) -> bool:
 
 class RepInput:
     """Classifying data of an irreducible representation: T-eigenvalue
-    angles, the scalar at -I, and the multiplier system."""
+    angles, the scalar at -I, and the multiplier system, with the admissible
+    exponents (lambdas) and drops of minimal_admissible_set."""
 
     def __init__(self, dimension: int, exponents, epsilon: int, multiplier: MultiplierSpec,
                  t_determined_asserted: bool = False):
@@ -180,6 +181,7 @@ class RepInput:
         self.multiplier = multiplier
         self.t_determined_asserted = bool(t_determined_asserted)
         self.t_determined = self.t_determined_asserted or t_determined_heuristic(exps)
+        self.lambdas, self.drops = minimal_admissible_set(exps, multiplier.cusp_parameter)
 
 
 class HpSeries:
@@ -252,23 +254,20 @@ def classify_dim1(chi_power: int, multiplier: MultiplierSpec) -> HpSeries:
 def classify_dim2(rep: RepInput) -> HpSeries:
     if rep.dimension != 2:
         raise PreconditionError("expected a two-dimensional input")
-    lams, _ = minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)
-    return HpSeries(6 * sum(lams) - 1, (0, 1))
+    return HpSeries(6 * sum(rep.lambdas) - 1, (0, 1))
 
 
 def classify_dim3(rep: RepInput) -> HpSeries:
     if rep.dimension != 3:
         raise PreconditionError("expected a three-dimensional input")
-    lams, _ = minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)
-    return HpSeries(4 * sum(lams) - 2, (0, 1, 2))
+    return HpSeries(4 * sum(rep.lambdas) - 2, (0, 1, 2))
 
 
 def dim4_parity(rep: RepInput) -> str:
     """Parity of the character twist, solved from the scalar at -I."""
     if rep.dimension != 4:
         raise PreconditionError("expected a four-dimensional input")
-    lams, _ = minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)
-    lam = sum(lams)
+    lam = sum(rep.lambdas)
     mv = multiplier_values(rep.multiplier)
     eps_angle = RationalAngle(0 if rep.epsilon == 1 else Fraction(1, 2))
     half_n = eps_angle + mv["angle_S2"] + RationalAngle(-Fraction(3, 2) * lam)
@@ -288,8 +287,7 @@ def classify_dim4(rep: RepInput) -> HpSeries:
         rep,
         "cyclic with offsets {0,1,2,3} at 3*lambda-3, or offsets {0,1,1,2} at 3*lambda-2",
     )
-    lams, _ = minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)
-    lam = sum(lams)
+    lam = sum(rep.lambdas)
     if dim4_parity(rep) == "odd":
         return HpSeries(3 * lam - 3, (0, 1, 2, 3))
     return HpSeries(3 * lam - 2, (0, 1, 1, 2))
@@ -313,14 +311,13 @@ def dim5_data(rep: RepInput) -> dict:
         rep,
         "one of the five twist classes N=0..4 with anchor weight 12(lambda+N)/5 - 4",
     )
-    lams, ls = minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)
     rsum = sum(rep.exponents, Fraction(0))
-    lsum = sum(ls)
+    lsum = sum(rep.drops)
     hits = [n for n in range(5) if (12 * (rsum + lsum + n)) % 5 == 0]
     if len(hits) != 1:
         raise PreconditionError("twist congruence must have a unique solution")
     n = hits[0]
-    lam = sum(lams)
+    lam = sum(rep.lambdas)
     k_n = Fraction(12) * (lam + n) / 5 - 4
     return {
         "N": n,

@@ -24,12 +24,11 @@ from .classify import (
     classify_dim5,
     dim5_data,
     hp_dimension,
-    minimal_admissible_set,
 )
-from .errors import PreconditionError, UnsupportedInputError
+from .errors import InternalCheckError, PreconditionError, UnsupportedInputError
 from .frobenius import solve_fundamental_system
 from .mmde import Mmde, unique_operator
-from .qseries import QSeries
+from .qseries import QSeries, _rat
 from .wronskian import wronskian_factorization
 
 _MAX_CLI_ORDER = 6
@@ -41,7 +40,7 @@ _MAX_CLI_WRONSKIAN = 180  # order times precision
 
 def _parse_rat(s: str) -> Fraction:
     try:
-        return Fraction(s)
+        return _rat(s)
     except (ValueError, ZeroDivisionError) as e:
         raise PreconditionError("cannot parse rational %r" % s) from e
 
@@ -191,11 +190,15 @@ def _cmd_wronskian(args) -> dict:
         )
     F = solve_fundamental_system(L, args.precision)
     expo, g, g_weight = wronskian_factorization(F)
+    gamma = g.coefficient_at(Fraction(0))
+    # no D^{n-1} term in L, so by Abel's identity W(F) is gamma eta^{24 e} at weight zero
+    if g_weight != 0 or g != gamma * QSeries.one(g.precision):
+        raise InternalCheckError("the Wronskian of a solved system is not a constant times an eta power")
     return {
         "operator": L.to_record(),
         "exponent_sum": str(expo),
         "g_weight": str(g_weight),
-        "gamma": str(g.coefficient_at(Fraction(0))),
+        "gamma": str(gamma),
         "g": g.to_record(),
     }
 
@@ -266,7 +269,7 @@ def _cmd_verify_structure(args) -> dict:
     # refused where the verification would lift the precision to its working
     # precision: after the classification's own checks, before any series
     classify(rep)
-    steps = modstruct._grid_steps(minimal_admissible_set(rep.exponents, m.cusp_parameter)[0], args.precision)
+    steps = modstruct._grid_steps(rep.lambdas, args.precision)
     if steps > _MAX_CLI_PRECISION:
         raise UnsupportedInputError(
             "verification needs %d grid steps, beyond the precision cap %d" % (steps, _MAX_CLI_PRECISION)

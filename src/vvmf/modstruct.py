@@ -20,7 +20,6 @@ from .classify import (
     dim4_parity,
     dim5_data,
     hp_dimension,
-    minimal_admissible_set,
 )
 from .deriv import VvmfVector, _ladder, derivative_vector
 from .errors import DivisibilityError, PrecisionError, PreconditionError
@@ -104,12 +103,12 @@ def _stacked_rows(vectors, max_cols=None):
     return rows, sum(c + 1 for c in caps)
 
 
-def vector_rank(vectors, max_cols=None) -> int:
+def vector_rank(vectors) -> int:
     """Exact rank of a family of vectors sharing recorded exponents."""
     vectors = list(vectors)
     if not vectors:
         return 0
-    rows, ncols = _stacked_rows(vectors, max_cols)
+    rows, ncols = _stacked_rows(vectors)
     return linalg.rank(rows, ncols)
 
 
@@ -254,7 +253,7 @@ def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
         raise PreconditionError("expected a four-dimensional input")
     h = classify_dim4(rep)
     parity = dim4_parity(rep)
-    lams = sorted(minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)[0])
+    lams = sorted(rep.lambdas)
     lam = sum(lams)
     precision = _grid_steps(lams, precision)
     report = {
@@ -296,7 +295,7 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
         raise PreconditionError("expected a five-dimensional input")
     data = dim5_data(rep)
     h = classify_dim5(rep)
-    lams = sorted(minimal_admissible_set(rep.exponents, rep.multiplier.cusp_parameter)[0])
+    lams = sorted(rep.lambdas)
     precision = _grid_steps(lams, precision)
     n = data["N"]
     report = {

@@ -45,6 +45,8 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:  # Fraction would build the whole power of ten
+            raise PreconditionError(f"exponent notation is not accepted: {x[:40]!r}")
         return Fraction(x)
     raise PreconditionError(f"not an exact rational: {x!r}")
 
@@ -55,7 +57,7 @@ def _record_rationals(values, what: str) -> list:
     if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in values):
         raise PreconditionError(f"{what} rationals must be strings or integers")
     try:
-        return [Fraction(v) for v in values]
+        return [_rat(v) for v in values]
     except (ValueError, ZeroDivisionError) as e:
         raise PreconditionError(f"{what} holds a malformed rational: {e}") from e
 

@@ -9,9 +9,11 @@ that does not vanish at the cusp.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from .deriv import VvmfVector, _ladder
-from .errors import FactorizationError, PrecisionError, PreconditionError
+from .errors import FactorizationError, InternalCheckError, PrecisionError, PreconditionError
 from .forms import eta_power
 from .qseries import QSeries, _lincomb, _pair, mul
 
@@ -26,38 +28,29 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
             "wronskian needs component precision at least %d" % (d + _PRECISION_MARGIN)
         )
     rows = _ladder(F, d - 1)
-    mat = [list(r.components) for r in rows]
-    # determinant by expanding one row at a time over column subsets
-    minors = {(j,): mat[0][j] for j in range(d)}
+    mat = [r.components for r in rows]
+    # the minor of the first len(S) rows on each column subset S, expanded
+    # along its last row; None marks a minor with no nonzero term
+    minors = {(j,): f for j, f in enumerate(mat[0])}
     for i in range(1, d):
-        terms = {}
-        for cols, minor in minors.items():
-            if minor.is_zero:
-                continue
-            for j in range(d):
-                if j in cols:
-                    continue
-                pos = sum(c < j for c in cols)
-                key = cols[:pos] + (j,) + cols[pos:]
-                sign = -1 if (len(cols) - pos) % 2 else 1
-                terms.setdefault(key, []).append((sign, minor, mat[i][j]))
-        minors = {key: _product_sum(ts) for key, ts in terms.items()}
-        if not minors:
-            break
-    full = tuple(range(d))
-    det = minors.get(full)
+        minors = {S: _product_sum([((-1) ** (i - p), minors[S[:p] + S[p + 1 :]], mat[i][j]) for p, j in enumerate(S)])
+                  for S in combinations(range(d), i + 1)}
+    det = minors[tuple(range(d))]
     if det is None:
         n = min(r.precision for r in rows)
         det = QSeries(sum(F.exponents, Fraction(0)), [Fraction(0)] * (n + 1))
     return det
 
 
-def _product_sum(terms) -> QSeries:
-    """sum sign * a * b over the (sign, a, b) of one minor, on the windows of mul
-    and add (a zero product is QSeries.zero of the shorter precision), with one
-    content pass.  The products of one minor share a coset, so lie whole steps apart."""
-    top = min(min(a.precision, b.precision) + (0 if a.is_zero or b.is_zero else a.beta + b.beta) for _, a, b in terms)
-    parts = [(sign, a, b) for sign, a, b in terms if not (a.is_zero or b.is_zero)]
+def _product_sum(terms):
+    """sum sign * a * b over the (sign, a, b) of one minor whose a is neither None nor zero, None if
+    there is none; on the windows of mul and add (a zero product is QSeries.zero of the shorter
+    precision), with one content pass.  The products share a coset, so lie whole steps apart."""
+    terms = [(sign, a, b) for sign, a, b in terms if a is not None and not a.is_zero]
+    if not terms:
+        return None
+    top = min(min(a.precision, b.precision) + (0 if b.is_zero else a.beta + b.beta) for _, a, b in terms)
+    parts = [(sign, a, b) for sign, a, b in terms if not b.is_zero]
     if not parts:
         return QSeries.zero(top)
     start = min(a.beta + b.beta for _, a, b in parts)
@@ -84,11 +77,9 @@ def wronskian_factorization(F: VvmfVector):
     Linearly dependent components are rejected.
     """
     d, k = F.d, F.weight
-    exponent = Fraction(0)
-    for f in F.components:
-        if f.is_zero:
-            raise PreconditionError("zero component, system is degenerate")
-        exponent += f.beta
+    if any(f.is_zero for f in F.components):
+        raise PreconditionError("zero component, system is degenerate")
+    exponent = sum((f.beta for f in F.components), Fraction(0))
     w = modular_wronskian(F)
     if w.is_zero:
         raise PreconditionError("wronskian vanishes, components are dependent")
@@ -98,4 +89,10 @@ def wronskian_factorization(F: VvmfVector):
         raise FactorizationError(
             "quotient vanishes at the cusp; exponent sum does not match the wronskian order"
         )
+    # second route: row i leads with c_j times a monic degree-i polynomial in
+    # beta_j, so g(0) is prod c_j times the Vandermonde product of the beta_j
+    lead = [(Fraction(f.nums[0], f.scale), f.beta) for f in F.components]
+    gamma = prod(c for c, _ in lead) * prod(bj - bi for (_, bi), (_, bj) in combinations(lead, 2))
+    if g.coefficient_at(0) != gamma:
+        raise InternalCheckError("wronskian constant %s is not the Vandermonde product %s" % (g.coefficient_at(0), gamma))
     return exponent, g, g_weight

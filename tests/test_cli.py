@@ -252,6 +252,35 @@ def test_negative_root_is_refused_before_the_solve(capsys, monkeypatch, argv):
     assert out == "" and "indicial root -13/23 is negative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hp", "--k0", "2", "--offsets", "0", "--weight", "1e1000000"],
+    ["hp", "--k0", "1E5", "--offsets", "0", "--weight", "2"],
+    ["classify", "--dim", "2", "--r", "1e-1,1/2"],
+    ["classify", "--dim", "2", "--r", "1/3,1/2", "--eta-weight", "1e0"],
+    ["mmde", "solve", "--roots", "1/3,2e3", "--precision", "5"],
+    ["mmde", "construct", "--roots", SIX_ROOTS, "--cusp", "1e5"],
+    ["forms", "--series", "eta^1e5"],
+    None,
+])
+def test_exponent_notation_is_refused(capsys, monkeypatch, tmp_path, argv):
+    # Fraction reads "1e1000000" by building the whole power of ten, so such
+    # a string is refused before it reaches Fraction
+    real_new = Fraction.__new__
+
+    def guarded(cls, numerator=0, denominator=None, **kw):
+        assert not (isinstance(numerator, str) and "e" in numerator.lower()), numerator
+        return real_new(cls, numerator, denominator, **kw)
+
+    if argv is None:
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"order": 2, "weight": "1e3000000", "alphas": ["0"]}), encoding="utf-8")
+        argv = ["wronskian", "--operator", str(path)]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(guarded))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exponent notation" in err
+
+
 def test_hp_at_a_huge_weight(capsys):
     doc = run_json(capsys, ["hp", "--k0", "0", "--offsets", "0", "--weight", str(10**12)])
     assert doc["dim"] == 10**12 // 12 + 1

@@ -222,6 +222,13 @@ def test_wronskian_rows_with_zero_entries_match_pairwise():
     dependent = VvmfVector(4, [e4, 2 * e4, delta(N)], (0, 0, 0))
     assert modular_wronskian(dependent).is_zero
     assert modular_wronskian(dependent) == pairwise_wronskian(dependent)
+    # every 2 x 2 minor of proportional columns is zero and a zero column
+    # leaves no minor at all, so the full minor has no term: the zero series
+    # at the exponent sum on the window of the derivative rows
+    for cols in ([e4, 2 * e4, 3 * e4], [QSeries.zero(N), QSeries.zero(N)]):
+        degenerate = VvmfVector(4, cols, (0,) * len(cols))
+        assert modular_wronskian(degenerate).is_zero
+        assert modular_wronskian(degenerate) == pairwise_wronskian(degenerate)
 
 
 OPERATORS = [

@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from vvmf import deriv, modstruct
+from vvmf import deriv, linalg, modstruct
 from vvmf import (
     DivisibilityError,
     MultiplierSpec,
@@ -140,7 +140,7 @@ def test_weight_space_dimension_free_rank_two():
 
 def full_window_rank(gens, target, n_samples):
     prods = module_products(gens, target)
-    return vector_rank(prods, n_samples) if prods else 0
+    return linalg.rank(*modstruct._stacked_rows(prods, n_samples)) if prods else 0
 
 
 def count_product_calls(monkeypatch):

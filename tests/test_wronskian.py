@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf import cli, wronskian
 from vvmf import (
     FactorizationError,
+    InternalCheckError,
     PrecisionError,
     PreconditionError,
     QSeries,
     VvmfVector,
+    delta,
     eisenstein,
     modular_derivative,
     modular_wronskian,
@@ -94,9 +97,55 @@ def test_factorization_rejects_degenerate_systems():
 def test_factorization_flags_cusp_vanishing_quotient():
     # two independent components with the same leading term make the
     # determinant vanish to higher order than the exponent sum predicts
-    from vvmf import delta
-
     e4 = eisenstein(4, 12)
     F = VvmfVector(4, [e4, e4 + delta(12)], (0, 0))
     with pytest.raises(FactorizationError):
         wronskian_factorization(F)
+
+
+def test_factorization_constant_is_the_vandermonde_product():
+    # permuted, rescaled and sign-flipped components: g(0) is the product of
+    # the leading coefficients times prod_{i<j} (beta_j - beta_i)
+    F = solve_fundamental_system(unique_operator([Fraction(1, 12), Fraction(1, 6), Fraction(3, 4)]), 12)
+    f0, f1, f2 = F.components
+    b0, b1, b2 = Fraction(3, 4), Fraction(1, 12), Fraction(1, 6)
+    G = VvmfVector(F.weight, [-3 * f2, f0, Fraction(2, 5) * f1], (b0, b1, b2))
+    e, g, g_weight = wronskian_factorization(G)
+    assert e == 1 and g_weight == 0
+    gamma = -3 * Fraction(2, 5) * (b1 - b0) * (b2 - b0) * (b2 - b1)
+    assert g == gamma * QSeries.one(g.precision)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_a_flipped_expansion_term_is_caught(monkeypatch, capsys, size):
+    # flip the sign of the first term of every minor on `size` columns: the
+    # Vandermonde check raises, where the CLI used to print a wrong cofactor
+    real = wronskian._product_sum
+
+    def flipped(terms):
+        if len(terms) == size:
+            (sign, a, b), *rest = terms
+            terms = [(-sign, a, b), *rest]
+        return real(terms)
+
+    monkeypatch.setattr(wronskian, "_product_sum", flipped)
+    F = solve_fundamental_system(unique_operator([Fraction(1, 12), Fraction(1, 6), Fraction(3, 4)]), 20)
+    with pytest.raises(InternalCheckError):
+        wronskian_factorization(F)
+    with pytest.raises(InternalCheckError):
+        cli.main(["wronskian", "--roots", "1/12,1/6,3/4", "--precision", "20"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bend", [lambda g, w: (g + delta(g.precision), w), lambda g, w: (g, w + 2)])
+def test_cli_wronskian_requires_a_constant_cofactor(monkeypatch, capsys, bend):
+    real = cli.wronskian_factorization
+
+    def bent(F):
+        e, g, w = real(F)
+        return (e, *bend(g, w))
+
+    monkeypatch.setattr(cli, "wronskian_factorization", bent)
+    with pytest.raises(InternalCheckError):
+        cli.main(["wronskian", "--roots", "1/12,5/12", "--precision", "10"])
+    assert capsys.readouterr().out == ""
