@@ -25,6 +25,7 @@ from .classify import (
     dim5_data,
     hp_dimension,
 )
+from .deriv import VvmfVector
 from .errors import InternalCheckError, PreconditionError, UnsupportedInputError
 from .frobenius import solve_fundamental_system
 from .mmde import Mmde, unique_operator
@@ -67,6 +68,8 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, QSeries):
         return x.to_record()
+    if isinstance(x, VvmfVector):
+        return _jsonable({"weight": x.weight, "exponents": x.exponents, "components": x.components})
     return x
 
 
@@ -93,26 +96,29 @@ def _render_text(doc, indent=0, lines=None):
 
 
 def _output(args) -> str:
-    """The command's document, rendered.  Its exact integers can pass the limit
-    on int-to-str digits of Python >= 3.10.7, so that limit is lifted meanwhile;
-    the precision cap bounds their size."""
+    """The command's document, rendered.  The command runs under the limit on
+    int-to-str digits of Python >= 3.10.7, so a digit string in an input past
+    that limit is refused at once, not read in time quadratic in its length.
+    The exact integers of the document can pass the limit, so it is lifted
+    while they are rendered; the precision cap bounds their size."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        doc = args.fn(args)
+    except ValueError as e:
+        # a value derived from long inputs can pass the limit too; the
+        # commands hand their rationals to _jsonable unconverted, so this is
+        # text the library builds, such as an appendix report
+        if "integer string conversion" not in str(e):
+            raise
+        raise UnsupportedInputError("a value beyond the interpreter's %d-digit limit" % limit) from e
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        doc = _jsonable(args.fn(args))
+        doc = _jsonable(doc)
         return json.dumps(doc, indent=2) + "\n" if args.format == "json" else "\n".join(_render_text(doc)) + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-def _vector_record(F) -> dict:
-    return {
-        "weight": str(F.weight),
-        "exponents": [str(x) for x in F.exponents],
-        "components": [f.to_record() for f in F.components],
-    }
 
 
 def _series_by_name(name: str, precision: int) -> QSeries:
@@ -123,8 +129,8 @@ def _series_by_name(name: str, precision: int) -> QSeries:
         _refuse_long_rationals(exponent)
         return forms.eta_power(exponent, precision)
     if name.startswith("E") and name[1:].isdecimal():
-        # measured before int() reads them: _output lifts the interpreter's
-        # digit limit, and reading a digit string takes time quadratic in it
+        # measured before int() reads them: int() raises on a digit string
+        # past the interpreter's limit
         digits = name[1:].lstrip("0") or "0"
         if len(digits) > len(str(_MAX_CLI_WEIGHT)) or int(digits) > _MAX_CLI_WEIGHT:
             raise UnsupportedInputError("Eisenstein weight beyond %d is not supported" % _MAX_CLI_WEIGHT)
@@ -167,7 +173,7 @@ def _multiplier_from_args(args) -> MultiplierSpec:
 
 def _cmd_forms(args) -> dict:
     s = _series_by_name(args.series, args.precision)
-    return {"series": args.series, "precision": args.precision, "expansion": s.to_record()}
+    return {"series": args.series, "precision": args.precision, "expansion": s}
 
 
 def _cmd_mmde_construct(args) -> dict:
@@ -178,7 +184,7 @@ def _cmd_mmde_construct(args) -> dict:
 def _cmd_mmde_solve(args) -> dict:
     L = _operator_from_args(args)
     F = solve_fundamental_system(L, args.precision)
-    return {"operator": L.to_record(), "system": _vector_record(F)}
+    return {"operator": L.to_record(), "system": F}
 
 
 def _cmd_wronskian(args) -> dict:
@@ -196,19 +202,19 @@ def _cmd_wronskian(args) -> dict:
         raise InternalCheckError("the Wronskian of a solved system is not a constant times an eta power")
     return {
         "operator": L.to_record(),
-        "exponent_sum": str(expo),
-        "g_weight": str(g_weight),
-        "gamma": str(gamma),
-        "g": g.to_record(),
+        "exponent_sum": expo,
+        "g_weight": g_weight,
+        "gamma": gamma,
+        "g": g,
     }
 
 
 def _classifier_doc(h: HpSeries, banner=None, extra=None) -> dict:
     doc = {
-        "k0": str(h.k0),
+        "k0": h.k0,
         "offsets": list(h.offsets),
         "numerator": h.numerator(),
-        "dims": {str(h.k0 + 2 * kp): hp_dimension(h, h.k0 + 2 * kp) for kp in range(7)},
+        "dims": {h.k0 + 2 * kp: hp_dimension(h, h.k0 + 2 * kp) for kp in range(7)},
     }
     if extra:
         doc.update(extra)
@@ -241,17 +247,17 @@ def _cmd_classify(args) -> dict:
     if args.dim == 4:
         return _classifier_doc(classify_dim4(rep), banner)
     data = dim5_data(rep)
-    extra = {"N": data["N"], "k_N": str(data["k_N"]), "n_N": data["n_N"]}
+    extra = {"N": data["N"], "k_N": data["k_N"], "n_N": data["n_N"]}
     return _classifier_doc(classify_dim5(rep), banner, extra)
 
 
 def _cmd_hp(args) -> dict:
     h = HpSeries(args.k0, args.offsets)
     return {
-        "k0": str(h.k0),
+        "k0": h.k0,
         "offsets": list(h.offsets),
         "numerator": h.numerator(),
-        "weight": str(Fraction(args.weight)),
+        "weight": args.weight,
         "dim": hp_dimension(h, args.weight),
     }
 

@@ -27,8 +27,6 @@ class VvmfVector:
         for f in comps:
             if not isinstance(f, QSeries):
                 raise PreconditionError("components must be QSeries")
-            if f.den != 1:
-                raise PreconditionError("components must live on the integer grid")
         # tuples from lists, not generators: see qseries._raw
         exps = tuple([_rat(x) for x in exponents])
         if len(exps) != len(comps):
@@ -86,16 +84,16 @@ class VvmfVector:
         )
 
 
-def _derive(beta: Fraction, den: int, f, k: Fraction, *terms) -> tuple:
+def _derive(beta: Fraction, f, k: Fraction, *terms) -> tuple:
     """The pair of D_k f plus the further _sum terms, for the pair f = (nums, scale)
-    of q^beta * sum_t (nums[t] / scale) q^(t/den), on f's window, with no content pass."""
+    of q^beta * sum_t (nums[t] / scale) q^t, on f's window, with no content pass."""
     n = len(f[0]) - 1
-    return _sum(n, [(1, _theta(beta, den, f), None, 0), (-k / 12, _pair(eisenstein(2, n), den), f, 0), *terms])
+    return _sum(n, [(1, _theta(beta, f), None, 0), (-k / 12, _pair(eisenstein(2, n)), f, 0), *terms])
 
 
 def modular_derivative(f: QSeries, k) -> QSeries:
     """D_k f = q df/dq - (k/12) E_2 f, known on the window of f."""
-    return _series(f.beta, f.den, *_derive(f.beta, f.den, _pair(f), _rat(k)))
+    return _series(f.beta, *_derive(f.beta, _pair(f), _rat(k)))
 
 
 def derivative_vector(F: VvmfVector) -> VvmfVector:

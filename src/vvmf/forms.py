@@ -42,7 +42,7 @@ def eisenstein(k: int, precision: int) -> QSeries:
         for n in range(d, precision + 1, d):
             sigma[n] += p
     c = Fraction(-2 * k) / bernoulli(k)
-    return _series(Fraction(0), 1, [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
+    return _series(Fraction(0), [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
 
 
 def _pentagonal(n: int) -> list:
@@ -79,7 +79,7 @@ def eta_power(exponent, precision: int) -> QSeries:
         step = b * m // g
         nums = [x * step for x in nums] + [acc // g]
         scale *= step
-    return _series(e / 24, 1, nums, scale)
+    return _series(e / 24, nums, scale)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -33,7 +33,7 @@ def theta_form(L, precision: int) -> list:
     prefixes = [[_pair(QSeries.one(precision))]]
     for t in range(n):
         rows = prefixes[-1]
-        derived = [_derive(_ZERO, 1, r, k + 2 * t, (1, prev, None, 0)) for r, prev in zip(rows, [zero] + rows)]
+        derived = [_derive(_ZERO, r, k + 2 * t, (1, prev, None, 0)) for r, prev in zip(rows, [zero] + rows)]
         prefixes.append(derived + rows[-1:])
     terms = [[(1, r, None, 0)] for r in prefixes[n]]
     for l in range(2, n + 1):
@@ -42,7 +42,7 @@ def theta_form(L, precision: int) -> list:
             terms[i].append((L.alphas[l - 2], el, r, 0))
     if L.cusp_c is not None:
         terms[0].append((L.cusp_c, _pair(delta(precision)), None, 1))
-    out = [_lincomb(_ZERO, 1, precision, ts) for ts in terms]
+    out = [_lincomb(_ZERO, precision, ts) for ts in terms]
     if not (out[n].beta == 0 and out[n].coefficient_at(Fraction(0)) == 1):
         raise InternalCheckError("theta form lost monicity")
     return out
@@ -80,7 +80,7 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
     ints = []
     for h in hs:
         off = int(h.beta)
-        if h.den != 1 or off != h.beta or off < 0 or off + h.precision < precision:
+        if off != h.beta or off < 0 or off + h.precision < precision:
             raise InternalCheckError("theta form left the integer grid or the window")
         m = c // h.scale
         ints.append([0] * off + [x * m for x in h.nums[: precision + 1 - off]])
@@ -121,7 +121,7 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
             nums = [a * den for a in nums]
             nums.append(-acc // g)
             m *= den
-        comps.append(_series(lam, 1, nums, m))
+        comps.append(_series(lam, nums, m))
     exps = [lam - lam.__floor__() for lam in roots]
     return VvmfVector(L.weight, comps, exps)
 

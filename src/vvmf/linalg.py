@@ -10,18 +10,14 @@ where every row holds a pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _integer_rows(rows) -> list[list[int]]:
     """Each row of ints and Fractions times the lcm of its denominators."""
     out = []
     for row in rows:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if scale % d:
-                scale = scale // gcd(scale, d) * d
+        scale = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 

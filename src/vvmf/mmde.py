@@ -12,7 +12,7 @@ and the residual of applying an operator to a q-expansion are all exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .deriv import _derive
 from .errors import InternalCheckError, PreconditionError
@@ -202,17 +202,17 @@ def apply(L, f: QSeries) -> QSeries:
     if not isinstance(f, QSeries):
         raise PreconditionError("operand must be a QSeries")
     n, k = L.order, L.weight
-    beta, den, top = f.beta, f.den, f.precision
+    beta, top = f.beta, f.precision
     # the ladder D^i f as raw pairs, on f's window
     ladder = [_pair(f)]
     for i in range(n):
-        ladder.append(_derive(beta, den, ladder[-1], k + 2 * i))
+        ladder.append(_derive(beta, ladder[-1], k + 2 * i))
     terms = [(1, ladder[n], None, 0)]
     for l in range(2, n + 1):
-        terms.append((L.alphas[l - 2], _pair(eisenstein(2 * l, top), den), ladder[n - l], 0))
+        terms.append((L.alphas[l - 2], _pair(eisenstein(2 * l, top)), ladder[n - l], 0))
     if L.cusp_c is not None:
-        terms.append((L.cusp_c, _pair(delta(top), den), ladder[0], den))
-    return _lincomb(beta, den, top, terms)
+        terms.append((L.cusp_c, _pair(delta(top)), ladder[0], 1))
+    return _lincomb(beta, top, terms)
 
 
 def _divisors(m: int):
@@ -241,9 +241,7 @@ def _rational_roots(poly) -> list:
     coeffs = [_rat(a) for a in poly]
     if coeffs[-1] != 1:
         raise InternalCheckError("root extraction expects a monic polynomial")
-    den = 1
-    for a in coeffs:
-        den = den // gcd(den, a.denominator) * a.denominator
+    den = lcm(*[a.denominator for a in coeffs])
     # y = den*x turns the polynomial into a monic integer one in y
     n = len(coeffs) - 1
     ints = [int(coeffs[i] * den ** (n - i)) for i in range(n + 1)]

@@ -31,19 +31,26 @@ from .qseries import QSeries, _numerators_at, divide_exact
 
 def _independent_components(F: VvmfVector) -> bool:
     groups: dict = {}
-    for f in F.components:
+    for j, f in enumerate(F.components):
         if f.is_zero:
             return False
         key = f.beta - f.beta.__floor__()
-        groups.setdefault(key, []).append(f)
-    for fs in groups.values():
-        if len(fs) == 1:
+        groups.setdefault(key, []).append((j, f))
+    for members in groups.values():
+        if len(members) == 1:
             continue
+        fs = [f for _, f in members]
         lo = min(f.beta for f in fs)
-        hi = min(f.window_top for f in fs)
-        cols = int((hi - lo).__floor__()) + 1
-        if cols < len(fs):
-            raise PrecisionError("not enough precision to certify independence")
+        j, short = min(members, key=lambda m: m[1].window_top)
+        # one column per component, from the lowest leading exponent up
+        need = lo + len(fs) - 1
+        if short.window_top < need:
+            raise PrecisionError(
+                "d_iterate_generators: not enough precision to certify independence: "
+                "component %d is known through q^%s, short of q^%s for %d components on one coset"
+                % (j, short.window_top, need, len(fs))
+            )
+        cols = int((short.window_top - lo).__floor__()) + 1
         rows = [_numerators_at(f, lo, cols, f.scale) for f in fs]
         if linalg.rank(rows, cols) != len(fs):
             return False
@@ -89,7 +96,10 @@ def _stacked_rows(vectors, max_cols=None):
         hi = min(v.components[j].window_top for v in vectors)
         cap = int((hi - lam).__floor__())
         if cap < 0:
-            raise PrecisionError("component window does not reach its exponent")
+            raise PrecisionError(
+                "rank rows: component window does not reach its exponent: component %d is known through q^%s, below q^%s"
+                % (j, hi, lam)
+            )
         if max_cols is not None:
             cap = min(cap, max_cols - 1)
         caps.append(cap)

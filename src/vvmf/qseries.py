@@ -1,10 +1,10 @@
 """Exact truncated generalized q-expansions over the rationals.
 
-A QSeries represents q^beta * sum_t c_t q^(t/den) with exact rational
-base exponent and coefficients.  The grid denominator den is 1 for every
-series produced by the modular machinery; it only becomes larger when two
-series on incongruent exponent grids are added, and canonicalization
-reduces it back as soon as the populated exponents allow.
+A QSeries represents q^beta * sum_t c_t q^t with exact rational base
+exponent and coefficients, so its exponents lie in the one coset beta + Z.
+Series on different cosets cannot be added: every component of a
+vector-valued form, every eta power and every Eisenstein series lives on
+a single coset.
 
 The coefficients are stored as integer numerators over one common scale:
 c_t = nums[t] / scale.  Every operation works on these integers and
@@ -16,11 +16,10 @@ hash compare integers:
   coefficient denominators;
 - leading zero coefficients are absorbed into beta, so nums[0] != 0 unless
   the series is zero;
-- the zero series has beta = 0, den = 1 and scale = 1;
-- the grid is as coarse as the populated exponents allow.
+- the zero series has beta = 0 and scale = 1.
 
-Precision is the number of known grid steps past the base exponent: the
-series is known exactly on the window [beta, beta + precision/den] and
+Precision is the number of known unit steps past the base exponent: the
+series is known exactly on the window [beta, beta + precision] and
 unknown beyond it.  Every operation propagates the window pessimistically.
 All values are immutable and all operations are pure; ``coeffs`` gives the
 coefficients as reduced Fractions, computed on each access.
@@ -29,7 +28,7 @@ coefficients as reduced Fractions, computed on each access.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ._kernel import convolve
 from .errors import PrecisionError, PreconditionError
@@ -62,11 +61,7 @@ def _record_rationals(values, what: str) -> list:
         raise PreconditionError(f"{what} holds a malformed rational: {e}") from e
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _raw(beta: Fraction, den: int, nums: tuple, scale: int) -> "QSeries":
+def _raw(beta: Fraction, nums: tuple, scale: int) -> "QSeries":
     """A series from fields that are already in canonical form.
 
     nums tuples are built from lists, never from generators: a tuple grown
@@ -75,18 +70,16 @@ def _raw(beta: Fraction, den: int, nums: tuple, scale: int) -> "QSeries":
     """
     out = object.__new__(QSeries)
     out.beta = beta
-    out.den = den
     out.nums = nums
     out.scale = scale
     return out
 
 
-def _series(beta: Fraction, den: int, nums, scale: int) -> "QSeries":
-    """The canonical series q^beta * sum_t (nums[t] / scale) q^(t/den).
+def _series(beta: Fraction, nums, scale: int) -> "QSeries":
+    """The canonical series q^beta * sum_t (nums[t] / scale) q^t.
 
-    Absorbs leading zeros into beta, resets the zero series to beta = 0,
-    coarsens the grid when possible and divides out the content of
-    (scale, *nums), making scale positive.
+    Absorbs leading zeros into beta, resets the zero series to beta = 0 and
+    divides out the content of (scale, *nums), making scale positive.
     """
     n = len(nums)
     lead = 0
@@ -96,35 +89,25 @@ def _series(beta: Fraction, den: int, nums, scale: int) -> "QSeries":
         # zero series: beta = 0 by convention; the known-zero window
         # [0, top] is sound because the original series had no support
         # below its own window either
-        top = beta + Fraction(n - 1, den)
-        return _raw(_ZERO, 1, (0,) * (max(0, top.__floor__()) + 1), 1)
+        top = beta + (n - 1)
+        return _raw(_ZERO, (0,) * (max(0, top.__floor__()) + 1), 1)
     if lead:
-        beta = beta + Fraction(lead, den)
+        beta = beta + lead
         nums = nums[lead:]
-    if den > 1:
-        g = den
-        for t, x in enumerate(nums):
-            if x:
-                g = gcd(g, t)
-                if g == 1:
-                    break
-        if g > 1:
-            nums = nums[::g]
-            den //= g
     g = gcd(scale, *nums)
     if scale < 0:
         g = -g
     if g != 1:
         nums = [x // g for x in nums]
         scale //= g
-    return _raw(beta, den, tuple(nums), scale)
+    return _raw(beta, tuple(nums), scale)
 
 
 def _sum(n: int, terms) -> tuple:
     """Numerators and scale of sum c * a * b through step n, with no content pass.
 
     Each term (c, a, b, off) has an int or Fraction c and (nums, scale) pairs a
-    and b on one grid; b is None for a plain term.  The product a * b, cut to
+    and b on one coset; b is None for a plain term.  The product a * b, cut to
     the shorter operand, is one convolve; the term starts at step off.  The
     scale is the lcm of the term scales.  Zero terms are skipped and parts past
     step n are dropped, but a zero sum with a nonzero term starting past n
@@ -147,8 +130,7 @@ def _sum(n: int, terms) -> tuple:
             continue
         s *= c.denominator
         parts.append((c.numerator, s, off, nums))
-        if scale % s:
-            scale = _lcm(scale, s)
+        scale = lcm(scale, s)
     out = [0] * (n + 1)
     for p, s, off, nums in parts:
         m = p * (scale // s)
@@ -159,63 +141,50 @@ def _sum(n: int, terms) -> tuple:
     return out, scale
 
 
-def _lincomb(beta: Fraction, den: int, n: int, terms) -> "QSeries":
-    """The canonical q^beta * sum_{t<=n} c_t q^(t/den) of a _sum: one content pass."""
-    return _series(beta, den, *_sum(n, terms))
+def _lincomb(beta: Fraction, n: int, terms) -> "QSeries":
+    """The canonical q^beta * sum_{t<=n} c_t q^t of a _sum: one content pass."""
+    return _series(beta, *_sum(n, terms))
 
 
-def _theta(beta: Fraction, den: int, f) -> tuple:
+def _theta(beta: Fraction, f) -> tuple:
     """The pair of q d/dq on the pair f = (nums, scale) of q^beta * sum_t
-    (nums[t] / scale) q^(t/den): with beta = p/q, step t has exponent
-    (p den + q t) / (q den)."""
+    (nums[t] / scale) q^t: with beta = p/q, step t has exponent (p + q t) / q."""
     p, q = beta.numerator, beta.denominator
     nums, scale = f
-    return [x * (p * den + q * t) for t, x in enumerate(nums)], scale * q * den
+    return [x * (p + q * t) for t, x in enumerate(nums)], scale * q
 
 
-def _pair(s: "QSeries", den: int = 0) -> tuple:
-    """The (nums, scale) pair of s, resampled onto the grid den when den is a
-    proper multiple of s.den."""
-    if den in (0, s.den):
-        return s.nums, s.scale
-    f = den // s.den
-    out = [0] * (s.precision * f + 1)
-    out[::f] = s.nums
-    return out, s.scale
+def _pair(s: "QSeries") -> tuple:
+    """The (nums, scale) pair of s."""
+    return s.nums, s.scale
 
 
 def _numerators_at(s: "QSeries", lo, count: int, scale: int) -> list:
     """The coefficients of s at lo, lo + 1, ..., lo + count - 1 times scale, a
-    multiple of s.scale: zero off the grid and below beta.  The window must
+    multiple of s.scale: zero off the coset and below beta.  The window must
     reach lo + count - 1."""
     out = [0] * count
-    step = (lo - s.beta) * s.den
+    step = lo - s.beta
     if step.denominator == 1:
-        start, den, m = int(step), s.den, scale // s.scale
-        t0 = min(count, max(0, -(start // den)))
-        out[t0:] = [x * m for x in s.nums[start + t0 * den :: den][: count - t0]]
+        start, m = int(step), scale // s.scale
+        t0 = min(count, max(0, -start))
+        out[t0:] = [x * m for x in s.nums[start + t0 : start + count]]
     return out
 
 
 class QSeries:
-    """Truncated q-expansion q^beta * (c_0 + c_1 q^(1/den) + ...)."""
+    """Truncated q-expansion q^beta * (c_0 + c_1 q + c_2 q^2 + ...)."""
 
-    __slots__ = ("beta", "den", "nums", "scale")
+    __slots__ = ("beta", "nums", "scale")
 
-    def __init__(self, beta, coeffs, den: int = 1):
+    def __init__(self, beta, coeffs):
         beta = _rat(beta)
         cs = [_rat(c) for c in coeffs]
         if not cs:
             raise PreconditionError("QSeries needs at least one coefficient")
-        if den < 1:
-            raise PreconditionError("grid denominator must be >= 1")
-        scale = 1
-        for c in cs:
-            d = c.denominator
-            if scale % d:
-                scale = _lcm(scale, d)
-        s = _series(beta, den, [c.numerator * (scale // c.denominator) for c in cs], scale)
-        self.beta, self.den, self.nums, self.scale = s.beta, s.den, s.nums, s.scale
+        scale = lcm(*[c.denominator for c in cs])
+        s = _series(beta, [c.numerator * (scale // c.denominator) for c in cs], scale)
+        self.beta, self.nums, self.scale = s.beta, s.nums, s.scale
 
     # -- structure ---------------------------------------------------
 
@@ -232,7 +201,7 @@ class QSeries:
     @property
     def window_top(self) -> Fraction:
         """Largest exponent at which the series is known."""
-        return self.beta + Fraction(self.precision, self.den)
+        return self.beta + self.precision
 
     @property
     def is_zero(self) -> bool:
@@ -242,22 +211,22 @@ class QSeries:
     def zero(cls, precision: int) -> "QSeries":
         if precision < 0:
             raise PreconditionError("precision must be >= 0")
-        return _raw(_ZERO, 1, (0,) * (precision + 1), 1)
+        return _raw(_ZERO, (0,) * (precision + 1), 1)
 
     @classmethod
     def one(cls, precision: int) -> "QSeries":
         if precision < 0:
             raise PreconditionError("precision must be >= 0")
-        return _raw(_ZERO, 1, (1,) + (0,) * precision, 1)
+        return _raw(_ZERO, (1,) + (0,) * precision, 1)
 
     def coefficient_at(self, exponent) -> Fraction:
-        """Coefficient of q^exponent; zero off the grid, error past the window."""
+        """Coefficient of q^exponent; zero off the coset, error past the window."""
         x = _rat(exponent)
         if x > self.window_top:
             raise PrecisionError(
                 f"exponent {x} beyond known window {self.window_top}"
             )
-        step = (x - self.beta) * self.den
+        step = x - self.beta
         if step < 0 or step.denominator != 1:
             return _ZERO
         return Fraction(self.nums[int(step)], self.scale)
@@ -270,12 +239,12 @@ class QSeries:
             )
         if precision == self.precision:
             return self
-        return _series(self.beta, self.den, self.nums[: precision + 1], self.scale)
+        return _series(self.beta, self.nums[: precision + 1], self.scale)
 
     # -- arithmetic --------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return _raw(self.beta, self.den, tuple([-x for x in self.nums]), self.scale)
+        return _raw(self.beta, tuple([-x for x in self.nums]), self.scale)
 
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -291,7 +260,7 @@ class QSeries:
         if isinstance(other, QSeries):
             return mul(self, other)
         if isinstance(other, (int, Fraction)):
-            return _lincomb(self.beta, self.den, self.precision, [(other, _pair(self), None, 0)])
+            return _lincomb(self.beta, self.precision, [(other, _pair(self), None, 0)])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -301,13 +270,12 @@ class QSeries:
             return NotImplemented
         return (
             self.beta == other.beta
-            and self.den == other.den
             and self.scale == other.scale
             and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.beta, self.den, self.scale, self.nums))
+        return hash((self.beta, self.scale, self.nums))
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Mathematical agreement on the joint known window.
@@ -315,9 +283,7 @@ class QSeries:
         Unlike ==, this ignores differences in pessimistic precision
         bookkeeping between algebraically equal computation routes.
         """
-        den = _lcm(self.den, other.den)
-        diff = self.beta - other.beta
-        den = _lcm(den, diff.denominator)
+        den = (self.beta - other.beta).denominator
         top = min(self.window_top, other.window_top)
         lo = min(self.beta, other.beta)
         t = 0
@@ -332,20 +298,16 @@ class QSeries:
     def __repr__(self):
         shown = ", ".join(str(Fraction(x, self.scale)) for x in self.nums[:6])
         tail = ", ..." if len(self.nums) > 6 else ""
-        grid = f", den={self.den}" if self.den != 1 else ""
-        return f"QSeries(q^({self.beta}) * [{shown}{tail}], N={self.precision}{grid})"
+        return f"QSeries(q^({self.beta}) * [{shown}{tail}], N={self.precision})"
 
     # -- serialization -----------------------------------------------
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "base_exponent": str(self.beta),
             "coeffs": [str(c) for c in self.coeffs],
             "precision": self.precision,
         }
-        if self.den != 1:
-            rec["grid_denominator"] = self.den
-        return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "QSeries":
@@ -355,17 +317,17 @@ class QSeries:
         for key in ("base_exponent", "coeffs", "precision"):
             if key not in rec:
                 raise PreconditionError(f"series record lacks {key!r}")
+        if "grid_denominator" in rec:
+            raise PreconditionError("series record carries 'grid_denominator'; series live on the unit grid")
         precision = rec["precision"]
-        den = rec.get("grid_denominator", 1)
-        for key, v in (("precision", precision), ("grid_denominator", den)):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise PreconditionError(f"series record {key!r} must be an integer")
+        if isinstance(precision, bool) or not isinstance(precision, int):
+            raise PreconditionError("series record 'precision' must be an integer")
         if not isinstance(rec["coeffs"], list):
             raise PreconditionError("series record 'coeffs' must be a list")
         beta, *coeffs = _record_rationals([rec["base_exponent"], *rec["coeffs"]], "series record")
         if len(coeffs) != precision + 1:
             raise PreconditionError("record length disagrees with precision")
-        return cls(beta, coeffs, den)
+        return cls(beta, coeffs)
 
 
 def make_series(beta, coeffs, precision: int) -> QSeries:
@@ -375,34 +337,34 @@ def make_series(beta, coeffs, precision: int) -> QSeries:
         raise PreconditionError(
             f"expected {precision + 1} coefficients, got {len(coeffs)}"
         )
-    return QSeries(beta, coeffs, 1)
+    return QSeries(beta, coeffs)
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    """Sum, merged onto the union exponent grid, window = min of windows."""
+    """Sum of two series on one exponent coset, window = min of windows."""
     if a.is_zero or b.is_zero:
         z, s = (a, b) if a.is_zero else (b, a)
-        steps = (z.precision - s.beta) * s.den
+        steps = z.precision - s.beta
         if steps < 0:
             raise PrecisionError("zero operand's window ends before the sum starts")
         return s.truncated(int(min(steps, s.precision)))
-    # offsets and windows in steps of the union grid 1/den from min(beta)
     diff = a.beta - b.beta
-    den = _lcm(_lcm(a.den, b.den), diff.denominator)
-    shift = diff.numerator * (den // diff.denominator)
+    if diff.denominator != 1:
+        raise PreconditionError(f"add: exponent cosets {a.beta % 1} + Z and {b.beta % 1} + Z differ")
+    # offsets and windows in unit steps from min(beta)
+    shift = diff.numerator
     beta = b.beta if shift >= 0 else a.beta
     oa, ob = max(shift, 0), max(-shift, 0)
-    n = min(oa + a.precision * (den // a.den), ob + b.precision * (den // b.den))
-    return _lincomb(beta, den, n, [(1, _pair(a, den), None, oa), (1, _pair(b, den), None, ob)])
+    n = min(oa + a.precision, ob + b.precision)
+    return _lincomb(beta, n, [(1, _pair(a), None, oa), (1, _pair(b), None, ob)])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product; base exponents add, precision is the minimum."""
     if a.is_zero or b.is_zero:
         return QSeries.zero(min(a.precision, b.precision))
-    den = _lcm(a.den, b.den)
-    n = min(a.precision * (den // a.den), b.precision * (den // b.den))
-    return _lincomb(a.beta + b.beta, den, n, [(1, _pair(a, den), _pair(b, den), 0)])
+    n = min(a.precision, b.precision)
+    return _lincomb(a.beta + b.beta, n, [(1, _pair(a), _pair(b), 0)])
 
 
 def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
@@ -413,9 +375,7 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
         if precision > a.precision:
             raise PrecisionError("requested precision exceeds the known window")
         return QSeries.zero(precision)
-    den = _lcm(a.den, b.den)
-    ia, _ = _pair(a, den)
-    ib, _ = _pair(b, den)
+    ia, ib = a.nums, b.nums
     if precision > min(len(ia), len(ib)) - 1:
         raise PrecisionError(
             f"requested precision {precision} exceeds joint precision "
@@ -439,9 +399,9 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             pw *= b0
         ys.append(acc)
     sb = b.scale
-    return _series(a.beta - b.beta, den, [y * sb for y in ys], a.scale * b0 ** (precision + 1))
+    return _series(a.beta - b.beta, [y * sb for y in ys], a.scale * b0 ** (precision + 1))
 
 
 def q_derivative(a: QSeries) -> QSeries:
     """Apply q d/dq termwise: c q^x becomes x c q^x."""
-    return _series(a.beta, a.den, *_theta(a.beta, a.den, _pair(a)))
+    return _series(a.beta, *_theta(a.beta, _pair(a)))

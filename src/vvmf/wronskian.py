@@ -54,7 +54,7 @@ def _product_sum(terms):
     if not parts:
         return QSeries.zero(top)
     start = min(a.beta + b.beta for _, a, b in parts)
-    return _lincomb(start, 1, (top - start).__floor__(), [
+    return _lincomb(start, (top - start).__floor__(), [
         (sign, _pair(a), _pair(b), int(a.beta + b.beta - start)) for sign, a, b in parts])
 
 

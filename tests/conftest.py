@@ -3,32 +3,11 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
+from corpus import CORPUS_SEED, CORPUS_SIZE, SOLVE_PRECISION, random_root_multiset
 
 from vvmf import solve_fundamental_system, unique_operator
-
-CORPUS_SEED = 20260825
-CORPUS_SIZE = 100
-SOLVE_PRECISION = 30
-
-
-def random_root_multiset(rng):
-    """Order 2..5 roots with denominators <= 24, entries in [0, 2),
-    pairwise incongruent modulo the integers."""
-    n = rng.randrange(2, 6)
-    roots, seen = [], set()
-    while len(roots) < n:
-        den = rng.randrange(1, 25)
-        num = rng.randrange(0, 2 * den)
-        r = Fraction(num, den)
-        frac = r - r.__floor__()
-        if frac in seen:
-            continue
-        seen.add(frac)
-        roots.append(r)
-    return roots
 
 
 @pytest.fixture(scope="session")

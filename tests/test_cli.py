@@ -302,6 +302,44 @@ def test_output_past_the_int_digit_limit(capsys):
     assert max(len(c) for c in coeffs) > 4300
 
 
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command", [["mmde", "construct"], ["mmde", "solve"], ["wronskian"]])
+@pytest.mark.parametrize("weight", ['"1%s"', "1%s"], ids=["string", "number"])
+def test_long_digit_string_is_refused_unread(capsys, monkeypatch, tmp_path, default_digit_limit, command, weight):
+    # the command runs under the interpreter's digit limit, so a weight of a
+    # million digits is refused as it is parsed, not read in time quadratic in
+    # its length and only then held to the digit cap
+    path = tmp_path / "op.json"
+    path.write_text('{"order": 2, "weight": %s, "alphas": ["0"]}' % (weight % ("0" * 10**6)), encoding="utf-8")
+    monkeypatch.setattr(vvmf.cli, "_refuse_long_rationals", refuse)
+    monkeypatch.setattr(vvmf.cli, "unique_operator", refuse)
+    monkeypatch.setattr(vvmf.cli, "solve_fundamental_system", refuse)
+    assert main(command + ["--operator", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "4300 digits" in err
+
+
+def test_derived_values_past_the_digit_limit(capsys, monkeypatch, default_digit_limit):
+    # angles of 3,000-digit denominators give a k0 of 12,000 digits: the
+    # command hands it to the renderer, which lifts the limit
+    p, q = 10**3000 + 19, 10**3000 + 7
+    doc = run_json(capsys, ["classify", "--dim", "2", "--r", "1/%d,1/%d" % (p, q)])
+    assert len(doc["k0"]) > 4300 and sys.get_int_max_str_digits() == 4300
+    # library text past the limit is an unsupported input, not a traceback
+    monkeypatch.setattr(vvmf.cli.modstruct, "appendix_demo", lambda *args: {"text": str(10**5000)})
+    rc, out = run_cli(capsys, ["appendix", "--exponents", "1/6,1/3,1/2,2/3,5/6", "--c", "0"])
+    assert rc == 3 and out == ""
+
+
 def test_operator_file_boolean_order_exits_2(capsys, tmp_path):
     path = tmp_path / "op.json"
     path.write_text('{"order": true, "weight": "4", "alphas": []}', encoding="utf-8")

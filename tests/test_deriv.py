@@ -114,8 +114,8 @@ def test_vector_validation():
         VvmfVector(2, [f], (Fraction(5, 12),))  # support below the exponent
     with pytest.raises(PreconditionError):
         VvmfVector(2, [f], (Fraction(1, 24),))  # off the exponent coset
-    mixed = QSeries(0, [1, 0, 1], den=1)
-    assert VvmfVector(2, [mixed], (0,)).d == 1
+    gap = QSeries(0, [1, 0, 1])
+    assert VvmfVector(2, [gap], (0,)).d == 1
 
 
 def test_vector_truncates_to_joint_precision():

@@ -30,7 +30,7 @@ def binomial_eta_power(exponent, precision: int) -> QSeries:
             c = c * (e - m + 1) / m
             factor_coeffs[n * m] = c if m % 2 == 0 else -c
         prod = mul(prod, QSeries(0, factor_coeffs))
-    return _series(e / 24, 1, prod.nums, prod.scale)
+    return _series(e / 24, prod.nums, prod.scale)
 
 
 def trial_division_eisenstein(k: int, precision: int) -> QSeries:
@@ -119,9 +119,9 @@ def test_eta_power_carries_no_content(monkeypatch):
     # final content pass divides out nothing
     contents = []
 
-    def spy(beta, den, nums, scale):
+    def spy(beta, nums, scale):
         contents.append(gcd(scale, *nums))
-        return _series(beta, den, nums, scale)
+        return _series(beta, nums, scale)
 
     monkeypatch.setattr(forms, "_series", spy)
     rng = random.Random(20261018)

@@ -134,9 +134,9 @@ def test_solve_carries_no_content(mmde_corpus, monkeypatch):
     # the final content pass of every component divides out nothing
     contents = []
 
-    def spy(beta, den, nums, scale):
+    def spy(beta, nums, scale):
         contents.append(gcd(scale, *nums))
-        return _series(beta, den, nums, scale)
+        return _series(beta, nums, scale)
 
     _series = frobenius._series
     monkeypatch.setattr(frobenius, "_series", spy)

@@ -175,7 +175,9 @@ def test_appendix_family_matches_pairwise(appendix_system):
     for f in F.components:
         assert apply(L, f).is_zero
         assert apply(L, f) == pairwise_apply(L, f)
-        assert apply(L, 3 * f + eisenstein(4, N)) == pairwise_apply(L, 3 * f + eisenstein(4, N))
+        # q^beta E_4 lies on f's exponent coset, as an addend must
+        g = 3 * f + QSeries(f.beta, eisenstein(4, N).coeffs)
+        assert apply(L, g) == pairwise_apply(L, g)
 
 
 def test_appendix_residual_on_constants_is_c_delta():
@@ -241,10 +243,10 @@ OPERATORS = [
 
 def assert_pinned(fused, pair):
     """fused == pair, unless an intermediate canonical form of the pairwise
-    route cut its window: a zero series floored to an integer window, or a
-    grid coarsened past the window's end.  The fused route keeps the input's
-    window, so it then agrees with pair on pair's window and knows more, and
-    it answers where the pairwise route ran out of window."""
+    route cut its window: a zero series floored to an integer window.  The
+    fused route keeps the input's window, so it then agrees with pair on
+    pair's window and knows more, and it answers where the pairwise route ran
+    out of window."""
     assert fused is not PrecisionError or pair is PrecisionError
     if pair is PrecisionError or fused is PrecisionError:
         return

@@ -68,6 +68,25 @@ def test_d_iterate_rejects_dependent_components():
         d_iterate_generators(short, 1)
 
 
+def test_independence_precision_error_names_stage_component_and_window():
+    # delta is known through q^1 and E_4 only through q^0, but two components
+    # on one coset need two columns from q^0
+    short = VvmfVector(12, [delta(0), eisenstein(4, 0)], (0, 0))
+    want = (
+        "^d_iterate_generators: not enough precision to certify independence: "
+        "component 1 is known through q\\^0, short of q\\^1 for 2 components on one coset$"
+    )
+    with pytest.raises(PrecisionError, match=want):
+        d_iterate_generators(short, 1)
+
+
+def test_rank_rows_precision_error_names_stage_component_and_window():
+    V = VvmfVector(2, [QSeries(F(1, 12), [1, 2]), QSeries.zero(1)], (F(1, 12), F(3, 2)))
+    want = "^rank rows: component window does not reach its exponent: component 1 is known through q\\^1, below q\\^3/2$"
+    with pytest.raises(PrecisionError, match=want):
+        vector_rank([V])
+
+
 def test_module_products():
     gens = d_iterate_generators(solved_pair(), 2)
     assert module_products(gens, 3) == []
@@ -327,6 +346,40 @@ def test_dim5_structure(nums, den, n, flags):
         assert r[flag], flag
     if n == 3:
         assert r["second_descent_weight"] == r["k0"] + 2
+
+
+@pytest.mark.parametrize("nums,asserted", [
+    ((6, 7, 8, 13, 16), True),
+    ((2, 3, 9, 12, 24), False),
+    ((1, 2, 3, 4, 15), True),
+    ((1, 3, 5, 7, 9), False),
+])
+def test_dim5_extra_vanishing_sets_the_later_combinations_apart(nums, asserted, monkeypatch):
+    # N = 3 and N = 4 ask the second and third combinations to vanish one
+    # step further at some components; each such combination must differ
+    # from the one found without that condition, and its discriminant
+    # quotient must vanish at the exponent of every such component
+    calls = []
+    real = modstruct._descend
+
+    def spy(ladder, min_gap, extra=()):
+        G = real(ladder, min_gap, extra)
+        calls.append((ladder, min_gap, extra, G))
+        return G
+
+    monkeypatch.setattr(modstruct, "_descend", spy)
+    rep = RepInput(5, tuple(F(x, 25) for x in nums), 1, TRIV, t_determined_asserted=asserted)
+    assert rep.t_determined
+    report = dim5_structure(rep)
+    constrained = [c for c in calls if c[2]]
+    assert len(constrained) == report["N"] - 2
+    for ladder, min_gap, extra, G in constrained:
+        assert G is not None
+        plain = real(ladder, min_gap)
+        assert plain is not None and plain.components != G.components
+        for j in extra:
+            g = G.components[j]
+            assert g.is_zero or g.beta > G.exponents[j]
 
 
 def count_ladder_steps(monkeypatch):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +23,28 @@ def rand_series(rng, zero_ok=True):
     return QSeries(beta, cs)
 
 
+def one_coset(*series):
+    """Whether the nonzero series among the given ones share an exponent coset."""
+    return len({s.beta % 1 for s in series if not s.is_zero}) <= 1
+
+
+def assert_ring_axioms(a, b, c):
+    """Commutativity, associativity and distributivity wherever the sums lie
+    on one exponent coset; a sum across cosets must be refused."""
+    for x, y in ((a, b), (b, c)):
+        if not one_coset(x, y):
+            with pytest.raises(PreconditionError, match="exponent cosets"):
+                add(x, y)
+    if one_coset(a, b):
+        assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    if one_coset(a, b, c):
+        assert add(add(a, b), c).agrees_with(add(a, add(b, c)))
+    assert mul(mul(a, b), c).agrees_with(mul(a, mul(b, c)))
+    if one_coset(b, c):
+        assert mul(a, add(b, c)).agrees_with(add(mul(a, b), mul(a, c)))
+
+
 def test_leading_zero_absorption():
     s = make_series(Fraction(1, 12), [0, 3], 1)
     assert s.beta == Fraction(13, 12)
@@ -34,7 +56,7 @@ def test_zero_series_convention():
     s = QSeries(Fraction(5, 2), [0, 0, 0])
     assert s.is_zero
     assert s.beta == 0
-    assert s.den == 1
+    assert s.scale == 1
     # original window reached 5/2 + 2 = 9/2, so zero is known through q^4
     assert s.precision == 4
 
@@ -45,17 +67,9 @@ def test_zero_series_below_origin():
     assert s.precision == 0
 
 
-def test_grid_reduction():
-    s = QSeries(0, [1, 0, 1], den=2)
-    assert s.den == 1
-    assert s.coeffs == (Fraction(1), Fraction(1))
-
-
 def test_construction_guards():
     with pytest.raises(PreconditionError):
         QSeries(0, [])
-    with pytest.raises(PreconditionError):
-        QSeries(0, [1], den=0)
     with pytest.raises(PreconditionError):
         QSeries(0.5, [1])
     with pytest.raises(PreconditionError):
@@ -66,17 +80,17 @@ def test_construction_guards():
 
 
 def test_numerators_at_are_scaled_coefficients():
-    # grids of 1 to 3 steps per unit; windows that start below, at and above
-    # beta, on and off the grid, and windows that end below beta
+    # windows that start below, at and above beta, on and off the coset, and
+    # windows that end below beta
     F = Fraction
     series = [
         QSeries(0, [1, 240, 2160, 6720]),
-        QSeries(F(1, 3), [F(1, 2), 0, F(-3, 4), 5, 0, F(7, 6), 1], 3),
-        QSeries(F(-5, 2), [F(2, 5), F(1, 3), 0, 4, F(-1, 7)], 2),
+        QSeries(F(1, 3), [F(1, 2), 0, F(-3, 4), 5, 0, F(7, 6), 1]),
+        QSeries(F(-5, 2), [F(2, 5), F(1, 3), 0, 4, F(-1, 7)]),
         QSeries.zero(5),
     ]
     for f in series:
-        for lo in (f.beta - 3, f.beta - F(2, 3), f.beta, f.beta + F(1, f.den), f.beta + F(1, 2)):
+        for lo in (f.beta - 3, f.beta - F(2, 3), f.beta, f.beta + 1, f.beta + F(1, 2)):
             top = int((f.window_top - lo).__floor__()) + 1
             for count in range(max(0, top) + 1):
                 for scale in (f.scale, 6 * f.scale):
@@ -105,15 +119,19 @@ def test_truncated():
         s.truncated(-1)
 
 
-def test_add_merges_incongruent_grids():
-    a = QSeries(0, [1, 1, 1])
-    b = QSeries(Fraction(1, 2), [1, 1, 1])
+def test_add_aligns_one_coset_and_refuses_two():
+    a = QSeries(Fraction(1, 2), [1, 1, 1])
+    b = QSeries(Fraction(-1, 2), [1, 1, 1, 1])
     s = add(a, b)
-    assert s.den == 2
-    assert s.beta == 0
-    # joint window ends at min(2, 5/2) = 2
-    assert s.window_top == 2
-    assert [s.coefficient_at(Fraction(t, 2)) for t in range(5)] == [1, 1, 1, 1, 1]
+    assert s.beta == Fraction(-1, 2)
+    # joint window ends at min(5/2, 5/2)
+    assert s.window_top == Fraction(5, 2)
+    assert s.coeffs == (1, 2, 2, 2)
+    other = QSeries(Fraction(7, 3), [1, 1])
+    for total in (lambda: add(a, other), lambda: a - other, lambda: other + a):
+        with pytest.raises(PreconditionError, match="exponent cosets") as e:
+            total()
+        assert "1/2 + Z" in str(e.value) and "1/3 + Z" in str(e.value)
 
 
 def test_add_zero_operand_window():
@@ -177,11 +195,8 @@ def test_agrees_with_ignores_window_claims():
     b = QSeries(0, [1, 2, 3, 4])
     assert a.agrees_with(b) and b.agrees_with(a)
     assert not a.agrees_with(QSeries(0, [1, 2, 4]))
-    # differing grids compare on the union grid, only up to the joint window
-    half = QSeries(0, [1, 0, 0, 0, 2, 7], den=2)
-    assert half.window_top == Fraction(5, 2)
-    assert QSeries(0, [1, 0, 2]).agrees_with(half)
-    assert not QSeries(0, [1, 0, 3]).agrees_with(half)
+    # two nonzero series on different cosets differ at the lower leading term
+    assert not a.agrees_with(QSeries(Fraction(1, 2), [1, 2, 3]))
 
 
 def test_serialization_round_trip():
@@ -189,10 +204,12 @@ def test_serialization_round_trip():
     for _ in range(25):
         s = rand_series(rng)
         assert QSeries.from_record(s.to_record()) == s
-    mixed = add(QSeries(0, [1, 1, 1]), QSeries(Fraction(1, 2), [1, 1, 1]))
-    rec = mixed.to_record()
-    assert rec["grid_denominator"] == 2
-    assert QSeries.from_record(rec) == mixed
+        assert "grid_denominator" not in s.to_record()
+    # a record on a finer grid is refused, never read as unit steps
+    for den in (1, 2):
+        rec = {"base_exponent": "0", "coeffs": ["1", "0", "1"], "precision": 2, "grid_denominator": den}
+        with pytest.raises(PreconditionError, match="grid_denominator"):
+            QSeries.from_record(rec)
     with pytest.raises(PreconditionError):
         QSeries.from_record({"base_exponent": "0", "coeffs": ["1"], "precision": 3})
 
@@ -200,19 +217,14 @@ def test_serialization_round_trip():
 def test_ring_axioms_spot_checks():
     rng = random.Random(20260825)
     for _ in range(50):
-        a, b, c = rand_series(rng), rand_series(rng), rand_series(rng)
-        assert add(a, b) == add(b, a)
-        assert mul(a, b) == mul(b, a)
-        assert add(add(a, b), c).agrees_with(add(a, add(b, c)))
-        assert mul(mul(a, b), c).agrees_with(mul(a, mul(b, c)))
-        assert mul(a, add(b, c)).agrees_with(add(mul(a, b), mul(a, c)))
+        assert_ring_axioms(rand_series(rng), rand_series(rng), rand_series(rng))
 
 
 def test_canonicalization_idempotent():
     rng = random.Random(3)
     for _ in range(25):
         s = rand_series(rng)
-        assert QSeries(s.beta, s.coeffs, s.den) == s
+        assert QSeries(s.beta, s.coeffs) == s
 
 
 @pytest.mark.parametrize(
@@ -241,96 +253,80 @@ def test_from_record_rejects_malformed(rec):
 
 # -- the integer representation against a Fraction-tuple reference -----
 #
-# The reference keeps a series as (beta, den, coeffs) with coeffs a tuple
-# of Fractions and runs every operation one Fraction at a time, as the
-# library did before it stored integer numerators over one scale.
+# The reference keeps a series as (beta, coeffs) with coeffs a tuple of
+# Fractions and runs every operation one Fraction at a time, as the library
+# did before it stored integer numerators over one scale.
 
 
-def ref_canon(beta, cs, den):
+def ref_canon(beta, cs):
     cs = list(cs)
     lead = 0
     while lead < len(cs) and cs[lead] == 0:
         lead += 1
     if lead == len(cs):
-        top = beta + Fraction(len(cs) - 1, den)
-        return (Fraction(0), 1, (Fraction(0),) * (max(0, top.__floor__()) + 1))
-    beta += Fraction(lead, den)
-    cs = cs[lead:]
-    g = den
-    for t, c in enumerate(cs):
-        if c:
-            g = gcd(g, t)
-    return (beta, den // g, tuple(cs[::g]))
+        top = beta + len(cs) - 1
+        return (Fraction(0), (Fraction(0),) * (max(0, top.__floor__()) + 1))
+    return (beta + lead, tuple(cs[lead:]))
 
 
 def ref_top(r):
-    return r[0] + Fraction(len(r[2]) - 1, r[1])
-
-
-def ref_refined(r, den):
-    f = den // r[1]
-    cs = [Fraction(0)] * ((len(r[2]) - 1) * f + 1)
-    cs[::f] = r[2]
-    return cs
+    return r[0] + len(r[1]) - 1
 
 
 def ref_add(a, b):
-    za, zb = a[2][0] == 0, b[2][0] == 0
+    za, zb = a[1][0] == 0, b[1][0] == 0
     if za and zb:
-        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[2]), len(b[2])), 1)
+        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[1]), len(b[1])))
     if za or zb:
         z, s = (a, b) if za else (b, a)
-        steps = (min(ref_top(z), ref_top(s)) - s[0]) * s[1]
+        steps = min(ref_top(z), ref_top(s)) - s[0]
         if steps < 0:
             raise PrecisionError("zero operand's window ends before the sum starts")
-        return ref_canon(s[0], s[2][: int(steps) + 1], s[1])
-    den = lcm(a[1], b[1], (a[0] - b[0]).denominator)
+        return ref_canon(s[0], s[1][: int(steps) + 1])
+    if (a[0] - b[0]).denominator != 1:
+        raise PreconditionError("series on different exponent cosets")
     beta = min(a[0], b[0])
-    n = int((min(ref_top(a), ref_top(b)) - beta) * den)
-    if n < 0:
-        raise PrecisionError("operand windows do not overlap")
+    n = int(min(ref_top(a), ref_top(b)) - beta)
     cs = [Fraction(0)] * (n + 1)
     for s in (a, b):
-        f, off = den // s[1], int((s[0] - beta) * den)
-        for t, c in enumerate(s[2]):
-            if off + t * f <= n:
-                cs[off + t * f] += c
-    return ref_canon(beta, cs, den)
+        off = int(s[0] - beta)
+        for t, c in enumerate(s[1]):
+            if off + t <= n:
+                cs[off + t] += c
+    return ref_canon(beta, cs)
 
 
 def ref_mul(a, b):
-    if a[2][0] == 0 or b[2][0] == 0:
-        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[2]), len(b[2])), 1)
-    den = lcm(a[1], b[1])
-    ca, cb = ref_refined(a, den), ref_refined(b, den)
+    if a[1][0] == 0 or b[1][0] == 0:
+        return ref_canon(Fraction(0), [Fraction(0)] * min(len(a[1]), len(b[1])))
+    ca, cb = a[1], b[1]
     n = min(len(ca), len(cb))
     cs = [sum((ca[i] * cb[t - i] for i in range(t + 1)), Fraction(0)) for t in range(n)]
-    return ref_canon(a[0] + b[0], cs, den)
+    return ref_canon(a[0] + b[0], cs)
 
 
 def ref_scaled(c, a):
-    return ref_canon(a[0], [c * x for x in a[2]], a[1])
+    return ref_canon(a[0], [c * x for x in a[1]])
 
 
 def ref_q_derivative(a):
-    return ref_canon(a[0], [(a[0] + Fraction(t, a[1])) * c for t, c in enumerate(a[2])], a[1])
+    return ref_canon(a[0], [(a[0] + t) * c for t, c in enumerate(a[1])])
 
 
 def ref_truncated(a, precision):
-    if precision < 0 or precision > len(a[2]) - 1:
+    if precision < 0 or precision > len(a[1]) - 1:
         raise PrecisionError("truncation beyond the window")
-    return ref_canon(a[0], a[2][: precision + 1], a[1])
+    return ref_canon(a[0], a[1][: precision + 1])
 
 
 def ref_divide_exact(a, b, precision):
-    if b[2][0] == 0:
+    if b[1][0] == 0:
         raise PreconditionError("division by the zero series")
-    if a[2][0] == 0:
-        if precision > len(a[2]) - 1:
+    if a[1][0] == 0:
+        if precision > len(a[1]) - 1:
             raise PrecisionError("requested precision exceeds the known window")
-        return ref_canon(Fraction(0), [Fraction(0)] * (precision + 1), 1)
-    den = lcm(a[1], b[1])
-    ca, cb = ref_refined(a, den), ref_refined(b, den)
+        return ref_canon(Fraction(0), [Fraction(0)] * (precision + 1))
+    ca, cb = a[1], b[1]
     if precision > min(len(ca), len(cb)) - 1:
         raise PrecisionError("requested precision exceeds joint precision")
     out = []
@@ -339,22 +335,22 @@ def ref_divide_exact(a, b, precision):
         for u, su in enumerate(out):
             acc -= su * cb[t - u]
         out.append(acc / cb[0])
-    return ref_canon(a[0] - b[0], out, den)
+    return ref_canon(a[0] - b[0], out)
 
 
 def ref_coefficient_at(a, x):
     if x > ref_top(a):
         raise PrecisionError("exponent beyond the window")
-    step = (x - a[0]) * a[1]
+    step = x - a[0]
     if step < 0 or step.denominator != 1:
         return Fraction(0)
-    return a[2][int(step)]
+    return a[1][int(step)]
 
 
 def fields(s):
     """The reference's view of s, after checking the canonical form."""
     assert s.scale > 0 and gcd(s.scale, *s.nums) == 1
-    return (s.beta, s.den, s.coeffs)
+    return (s.beta, s.coeffs)
 
 
 def outcome(fn, *args):
@@ -367,7 +363,7 @@ def outcome(fn, *args):
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 coefficients = st.one_of(st.just(Fraction(0)), rationals, st.integers(-(10**30), 10**30).map(Fraction))
 betas = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12]))
-raw_series = st.tuples(betas, st.lists(coefficients, min_size=1, max_size=8), st.sampled_from([1, 1, 2, 3, 4, 6]))
+raw_series = st.tuples(betas, st.lists(coefficients, min_size=1, max_size=8))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -385,7 +381,7 @@ def test_integer_series_match_fraction_reference(ra, rb, c, precision, x):
     assert outcome(lambda: fields(a.truncated(precision))) == outcome(ref_truncated, fa, precision)
     assert outcome(lambda: fields(divide_exact(a, b, precision))) == outcome(ref_divide_exact, fa, fb, precision)
     assert outcome(a.coefficient_at, x) == outcome(ref_coefficient_at, fa, x)
-    assert QSeries(a.beta, a.coeffs, a.den) == a
+    assert QSeries(a.beta, a.coeffs) == a
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -396,9 +392,12 @@ def test_equal_series_from_different_routes_hash_equal(ra, rb):
     assert ab == ba and hash(ab) == hash(ba)
     total = outcome(add, a, b)
     assert total == outcome(add, b, a)
+    if not one_coset(a, b):
+        assert total is PreconditionError
+        return
     assume(isinstance(total, QSeries) and not total.is_zero and not a.is_zero)
     assert hash(total) == hash(b + a)
-    k = ((min(a.window_top, b.window_top) - a.beta) * a.den).__floor__()
+    k = (min(a.window_top, b.window_top) - a.beta).__floor__()
     assume(k >= 0)
     back = total - b
     assert back == a.truncated(k) and hash(back) == hash(a.truncated(k))
