@@ -263,23 +263,17 @@ def _cmd_hp(args) -> dict:
 
 
 def _cmd_appendix(args) -> dict:
+    _refuse_long_rationals(*args.exponents, *args.c)
     return modstruct.appendix_demo(args.exponents, args.c, args.precision)
 
 
 def _cmd_verify_structure(args) -> dict:
+    _refuse_long_rationals(args.eta_weight, *args.r)
     m = _multiplier_from_args(args)
     rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
     if args.dim not in (4, 5):
         raise UnsupportedInputError("structure verification covers dimensions 4 and 5")
-    classify, structure = (classify_dim4, modstruct.dim4_structure) if args.dim == 4 else (classify_dim5, modstruct.dim5_structure)
-    # refused where the verification would lift the precision to its working
-    # precision: after the classification's own checks, before any series
-    classify(rep)
-    steps = modstruct._grid_steps(rep.lambdas, args.precision)
-    if steps > _MAX_CLI_PRECISION:
-        raise UnsupportedInputError(
-            "verification needs %d grid steps, beyond the precision cap %d" % (steps, _MAX_CLI_PRECISION)
-        )
+    structure = modstruct.dim4_structure if args.dim == 4 else modstruct.dim5_structure
     return structure(rep, args.precision)
 
 

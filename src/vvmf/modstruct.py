@@ -26,7 +26,7 @@ from .errors import DivisibilityError, PrecisionError, PreconditionError
 from .forms import delta, eisenstein, mspace_basis
 from .frobenius import monodromy_T, solve_fundamental_system
 from .mmde import appendix_family, apply, indicial_polynomial, unique_operator
-from .qseries import QSeries, _numerators_at, divide_exact
+from .qseries import QSeries, _numerators_at, _rat, divide_exact
 
 
 def _independent_components(F: VvmfVector) -> bool:
@@ -72,7 +72,7 @@ def module_products(generators, target_weight) -> list:
     Generators whose gap is negative, odd, or non-integral contribute
     nothing.  Order is generator-major, then basis order.
     """
-    target = Fraction(target_weight)
+    target = _rat(target_weight)
     out = []
     for g in generators:
         gap = target - g.weight
@@ -133,7 +133,7 @@ def weight_space_dimension(generators, target_weight, n_samples: int) -> int:
         raise PreconditionError("need at least one coefficient sample")
     generators = list(generators)
     # A column subset of full row rank proves full row rank, so the products
-    # of the generators cut to one grid step per generator are ranked first;
+    # of the generators cut to one unit step per generator are ranked first;
     # only where those rows are dependent does the full window decide.
     cut = [g.truncated(min(g.precision, len(generators))) for g in generators]
     rank, count = _product_rank(cut, target_weight, n_samples)
@@ -153,7 +153,7 @@ def _product_rank(generators, target_weight, n_samples: int) -> tuple:
 
 def delta_divisible_combination(vectors, kill_offsets):
     """Nonzero combination whose component j vanishes at the first
-    kill_offsets[j] grid exponents lambda_j + 0 .. lambda_j + t_j - 1.
+    kill_offsets[j] exponents lambda_j + 0 .. lambda_j + t_j - 1.
 
     Returns the combination with its first nonzero coefficient scaled to 1,
     or None when only the trivial combination satisfies the constraints.
@@ -214,11 +214,6 @@ def _shifted_system(lams_sorted, n_shift: int, precision: int) -> VvmfVector:
     return solve_fundamental_system(unique_operator(roots), precision)
 
 
-def _grid_steps(lams, precision: int) -> int:
-    """Working precision in grid steps: at least two integer windows."""
-    return max(precision, 2 * _lcm(*[lam.denominator for lam in lams]) + 8)
-
-
 def eis_candidates(F: VvmfVector, top_power: int, min_gap: int = 0) -> list:
     """Candidate vectors E_gap * D^m F at the single weight
     F.weight + 2*top_power + min_gap, one per derivative order m.
@@ -265,7 +260,7 @@ def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
     parity = dim4_parity(rep)
     lams = sorted(rep.lambdas)
     lam = sum(lams)
-    precision = _grid_steps(lams, precision)
+    precision = max(precision, rep.dimension)
     report = {
         "parity": parity,
         "k0": h.k0,
@@ -306,7 +301,7 @@ def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     data = dim5_data(rep)
     h = classify_dim5(rep)
     lams = sorted(rep.lambdas)
-    precision = _grid_steps(lams, precision)
+    precision = max(precision, rep.dimension)
     n = data["N"]
     report = {
         "N": n,
@@ -380,7 +375,7 @@ def appendix_demo(exponents, c_values, precision: int = 24) -> dict:
     """Exercise the order-six one-parameter family over the given cusp
     coefficients: constant indicial data, residual of the constant
     function, and the leading-exponent angles."""
-    exps = [Fraction(x) for x in exponents]
+    exps = [_rat(x) for x in exponents]
     if len(exps) != 5 or len(set(exps)) != 5:
         raise PreconditionError("need five pairwise distinct exponents")
     for x in exps:
@@ -391,7 +386,7 @@ def appendix_demo(exponents, c_values, precision: int = 24) -> dict:
     indicials = []
     one = QSeries.one(precision)
     for c in c_values:
-        c = Fraction(c)
+        c = _rat(c)
         L = appendix_family(exps, c)
         ind = indicial_polynomial(L)
         indicials.append(ind)

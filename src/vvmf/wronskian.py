@@ -15,7 +15,7 @@ from math import prod
 from .deriv import VvmfVector, _ladder
 from .errors import FactorizationError, InternalCheckError, PrecisionError, PreconditionError
 from .forms import eta_power
-from .qseries import QSeries, _lincomb, _pair, mul
+from .qseries import QSeries, _lincomb, _pair, _rat, mul
 
 _PRECISION_MARGIN = 2
 
@@ -65,7 +65,7 @@ def weight_lower_bound(d: int, lam, n):
         raise PreconditionError("dimension must be an integer >= 1")
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("shift total must be an integer >= 0")
-    lam = Fraction(lam)
+    lam = _rat(lam)
     return Fraction(12) * (lam + n) / d + 1 - d
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf import PreconditionError, unique_operator
-from vvmf.cli import _MAX_CLI_DIGITS, _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, main
+from vvmf import MultiplierSpec, PreconditionError, RepInput, dim4_structure, dim5_structure, unique_operator
+from vvmf.cli import _MAX_CLI_DIGITS, _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, _jsonable, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -134,29 +134,76 @@ def test_weight_cap_boundary(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # lcm 1009: 2026 grid steps
+    # lcm 1009 and lcm 97: the structure scripts work on unit steps, so the
+    # size of the denominators does not set the number of steps
     ["--dim", "4", "--r", "1/1009,2/1009,1006/1009,0", "--assert-t-determined"],
     ["--dim", "4", "--r", "1/1009,2/1009,1006/1009,0", "--assert-t-determined", "--epsilon", "-1"],
-    # lcm 97: 2 * 97 + 8 = 202 grid steps, one lcm past the cap
     ["--dim", "4", "--r", "1/97,2/97,94/97,0", "--assert-t-determined"],
     ["--dim", "5", "--r", "1/97,2/97,3/97,91/97,0", "--assert-t-determined"],
 ])
-def test_working_precision_cap(capsys, monkeypatch, argv):
+def test_verify_structure_on_long_denominators(capsys, argv):
+    doc = run_json(capsys, ["verify-structure"] + argv)
+    dim, rs = int(argv[1]), argv[3].split(",")
+    epsilon = -1 if "--epsilon" in argv else 1
+    rep = RepInput(dim, rs, epsilon, MultiplierSpec.trivial(), t_determined_asserted=True)
+    report = (dim4_structure if dim == 4 else dim5_structure)(rep, 30)
+    assert doc == json.loads(json.dumps(_jsonable(report)))
+    assert all(v for v in report.values() if isinstance(v, bool))
+
+
+PAST = "1" + "0" * _MAX_CLI_DIGITS  # the least number of _MAX_CLI_DIGITS + 1 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "4", "--r", "1/%s,2/%s,%d/%s,0" % (PAST, PAST, int(PAST) - 3, PAST), "--assert-t-determined"],
+    ["--dim", "5", "--r", "1/%s,2/%s,3/%s,%d/%s,0" % (PAST, PAST, PAST, int(PAST) - 6, PAST), "--assert-t-determined"],
+    ["--dim", "5", "--r", "1/12,2/12,3/12,4/12,5/12", "--assert-t-determined", "--eta-weight", "1/" + PAST],
+    # a numerator past the cap over a denominator within it
+    ["--dim", "4", "--r", "1/5,11/30,8/15,9/10", "--epsilon", "-1", "--eta-weight", "%d/%s" % (int(PAST) + 1, PAST[:-1])],
+])
+def test_verify_structure_rational_size_cap(capsys, monkeypatch, argv):
     monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
     monkeypatch.setattr(vvmf.cli.modstruct, "dim5_structure", refuse)
     assert main(["verify-structure"] + argv) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "grid steps" in err
+    assert out == "" and "beyond %d digits" % _MAX_CLI_DIGITS in err
 
 
-def test_working_precision_cap_boundary(capsys, monkeypatch):
-    # lcm 96 needs 2 * 96 + 8 = 200 steps, exactly the cap
+def test_verify_structure_rational_size_cap_boundary(capsys, monkeypatch):
+    top = "9" * _MAX_CLI_DIGITS
     monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", lambda rep, precision: {"ran": True})
-    argv = ["verify-structure", "--dim", "4", "--r", "1/96,31/96,0,1/3", "--assert-t-determined"]
+    argv = ["verify-structure", "--dim", "4", "--r", "1/%s,2/%s,%d/%s,0" % (top, top, int(top) - 3, top),
+            "--assert-t-determined", "--eta-weight", "%d/%s" % (int(top) - 1, top)]
     assert run_json(capsys, argv) == {"ran": True}
-    # an input that fails the classification's own checks still exits 2
-    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
+
+
+def test_verify_structure_classifies_before_any_series(capsys, monkeypatch):
+    # an input that fails the classification's own checks exits 2
+    monkeypatch.setattr(vvmf.modstruct, "solve_fundamental_system", refuse)
     assert main(["verify-structure", "--dim", "4", "--r", "1/1009,2/1009,1006/1009,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "T-determined" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--exponents", "1/%s,1/3,1/2,2/3,%d/%s" % (PAST, int(PAST) - 1, PAST), "--c", "0"],
+    ["--exponents", "1/6,1/3,1/2,2/3,5/6", "--c", "0," + PAST],
+    ["--exponents", "1/6,1/3,1/2,2/3,5/6", "--c", "1/" + PAST],
+])
+def test_appendix_rational_size_cap(capsys, monkeypatch, argv):
+    # the order-six operator grows with the digits of its exponents and of c,
+    # so a long rational is refused before any work
+    monkeypatch.setattr(vvmf.cli.modstruct, "appendix_demo", refuse)
+    assert main(["appendix"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "beyond %d digits" % _MAX_CLI_DIGITS in err
+
+
+def test_appendix_rational_size_cap_boundary(capsys, monkeypatch):
+    top = "9" * _MAX_CLI_DIGITS
+    monkeypatch.setattr(vvmf.cli.modstruct, "appendix_demo", lambda *args: {"ran": True})
+    argv = ["appendix", "--exponents", "1/%s,1/3,1/2,2/3,%d/%s" % (top, int(top) - 1, top), "--c", "0,-" + top]
+    assert run_json(capsys, argv) == {"ran": True}
 
 
 @pytest.mark.parametrize("argv", [

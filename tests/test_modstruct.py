@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +18,8 @@ from vvmf import (
     RepInput,
     VvmfVector,
     appendix_demo,
+    classify_dim4,
+    classify_dim5,
     d_iterate_generators,
     delta,
     delta_divisible_combination,
@@ -176,13 +179,15 @@ def count_product_calls(monkeypatch):
 
 def odd_dim4_generators():
     lams = sorted(F(n, 30) for n in (6, 11, 16, 27))
-    F0 = solve_fundamental_system(unique_operator(lams), modstruct._grid_steps(lams, 20))
+    # the working precision of dim4_structure at its default precision
+    F0 = solve_fundamental_system(unique_operator(lams), max(20, len(lams)))
     return d_iterate_generators(F0, 4)
 
 
 def dim5_n0_generators():
     lams = [F(n, 12) for n in range(1, 6)]
-    F0 = solve_fundamental_system(unique_operator(lams), modstruct._grid_steps(lams, 16))
+    # the working precision of dim5_structure at its default precision
+    F0 = solve_fundamental_system(unique_operator(lams), max(16, len(lams)))
     return d_iterate_generators(F0, 5)
 
 
@@ -380,6 +385,75 @@ def test_dim5_extra_vanishing_sets_the_later_combinations_apart(nums, asserted, 
         for j in extra:
             g = G.components[j]
             assert g.is_zero or g.beta > G.exponents[j]
+
+
+# one heuristic-T-determined input per branch: dimension 4 even (epsilon -1),
+# then dimension 5 N = 0 .. 4 (epsilon 1)
+HEURISTIC_INPUTS = [
+    RepInput(4, (F(12, 25), F(4, 5), F(21, 25), F(22, 25)), -1, TRIV),
+    RepInput(5, (F(1, 30), F(11, 30), F(8, 15), F(7, 10), F(13, 15)), 1, TRIV),
+    RepInput(5, tuple(F(x, 25) for x in (16, 18, 20, 22, 24)), 1, TRIV),
+    RepInput(5, tuple(F(x, 25) for x in (10, 13, 14, 18, 20)), 1, TRIV),
+    RepInput(5, tuple(F(x, 25) for x in (2, 3, 9, 12, 24)), 1, TRIV),
+    RepInput(5, tuple(F(x, 25) for x in (1, 3, 5, 7, 9)), 1, TRIV),
+]
+
+
+def seeded_structure_inputs(count):
+    """count dimension 4 and 5 inputs that classify: angles with denominators
+    up to 45, the last one completing an admissible sum, with the sign, the
+    character and the eta weight drawn, and T-determination asserted or
+    left to the heuristic."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < count:
+        d = rng.choice((4, 5))
+        den = rng.randrange(2, 46)
+        r = [F(rng.randrange(den), den) for _ in range(d - 1)]
+        r.append((rng.randrange(12) * F(1, 3 if d == 4 else 12) - sum(r)) % 1)
+        m = MultiplierSpec(rng.choice((0, 2)), rng.randrange(12))
+        try:
+            rep = RepInput(d, r, rng.choice((1, -1)), m, rng.random() < 0.5)
+            (classify_dim4 if d == 4 else classify_dim5)(rep)
+        except PreconditionError:
+            continue
+        out.append(rep)
+    return out
+
+
+PRECISION_INPUTS = (
+    [RepInput(4, (F(1, 24), F(5, 24), F(7, 24), F(11, 24)), -1, TRIV, t_determined_asserted=True),
+     RepInput(4, (F(1, 5), F(11, 30), F(8, 15), F(9, 10)), -1, TRIV)]
+    + [RepInput(5, tuple(F(x, den) for x in nums), 1, TRIV, t_determined_asserted=True)
+       for nums, den, _, _ in DIM5_STRUCTURE_CASES]
+    + HEURISTIC_INPUTS
+    + seeded_structure_inputs(27)
+)
+
+
+@pytest.mark.parametrize("rep", PRECISION_INPUTS)
+def test_structure_reports_do_not_depend_on_precision(rep):
+    # the scripts work at no fewer steps than the dimension, so even
+    # precision 1 gives the report of precision 30
+    structure = dim4_structure if rep.dimension == 4 else dim5_structure
+    assert structure(rep, 1) == structure(rep, 30)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1e5"])
+def test_appendix_demo_refuses_inexact_rationals(bad):
+    exps = [F(n, 6) for n in range(1, 6)]
+    with pytest.raises(PreconditionError):
+        appendix_demo(exps[:4] + [bad], (0,), 4)
+    with pytest.raises(PreconditionError):
+        appendix_demo(exps, (0, bad), 4)
+
+
+@pytest.mark.parametrize("bad", [6.0, "1e5"])
+def test_module_products_refuses_inexact_weight(bad):
+    gens = d_iterate_generators(solved_pair(), 2)
+    with pytest.raises(PreconditionError):
+        module_products(gens, bad)
+    assert [g.weight for g in module_products(gens, "6")] == [g.weight for g in module_products(gens, 6)]
 
 
 def count_ladder_steps(monkeypatch):

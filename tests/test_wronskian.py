@@ -78,6 +78,13 @@ def test_weight_lower_bound():
         weight_lower_bound(2, 1, -1)
 
 
+@pytest.mark.parametrize("lam", [0.1, "1e5"])
+def test_weight_lower_bound_refuses_inexact_rationals(lam):
+    with pytest.raises(PreconditionError):
+        weight_lower_bound(2, lam, 0)
+    assert weight_lower_bound(2, "1/10", 0) == Fraction(-2, 5)
+
+
 def test_wronskian_precision_guard():
     F = solve_fundamental_system(unique_operator([0, Fraction(1, 2)]), 12)
     with pytest.raises(PrecisionError):
