@@ -39,18 +39,11 @@ _MAX_CLI_DIGITS = 12  # of a numerator or denominator
 _MAX_CLI_WRONSKIAN = 180  # order times precision
 
 
-def _parse_rat(s: str) -> Fraction:
-    try:
-        return _rat(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise PreconditionError("cannot parse rational %r" % s) from e
-
-
 def _parse_rat_list(s: str):
     items = [x for x in s.split(",") if x != ""]
     if not items:
         raise PreconditionError("expected a comma-separated list of rationals")
-    return [_parse_rat(x) for x in items]
+    return [_rat(x) for x in items]
 
 
 def _refuse_long_rationals(*values) -> None:
@@ -125,7 +118,7 @@ def _series_by_name(name: str, precision: int) -> QSeries:
     if name == "delta":
         return forms.delta(precision)
     if name.startswith("eta^"):
-        exponent = _parse_rat(name[4:])
+        exponent = _rat(name[4:])
         _refuse_long_rationals(exponent)
         return forms.eta_power(exponent, precision)
     if name.startswith("E") and name[1:].isdecimal():
@@ -284,7 +277,7 @@ def _add_common(p) -> None:
 
 def _add_operator_flags(p) -> None:
     p.add_argument("--roots", type=_parse_rat_list)
-    p.add_argument("--cusp", type=_parse_rat)
+    p.add_argument("--cusp", type=_rat)
     p.add_argument("--operator")
     _add_common(p)
 
@@ -292,7 +285,7 @@ def _add_operator_flags(p) -> None:
 def _add_rep_flags(p) -> None:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=_parse_rat_list, required=True)
-    p.add_argument("--eta-weight", type=_parse_rat, default=Fraction(0))
+    p.add_argument("--eta-weight", type=_rat, default=Fraction(0))
     p.add_argument("--chi", type=int, default=0)
     p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
     p.add_argument("--assert-t-determined", action="store_true")
@@ -324,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("hp", help="graded dimension from minimal weight and offsets")
-    p.add_argument("--k0", type=_parse_rat, required=True)
+    p.add_argument("--k0", type=_rat, required=True)
     p.add_argument("--offsets", type=lambda s: [int(x) for x in s.split(",")], required=True)
-    p.add_argument("--weight", type=_parse_rat, required=True)
+    p.add_argument("--weight", type=_rat, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_hp)
 

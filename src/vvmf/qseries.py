@@ -46,7 +46,10 @@ def _rat(x) -> Fraction:
     if isinstance(x, str):
         if "e" in x or "E" in x:  # Fraction would build the whole power of ten
             raise PreconditionError(f"exponent notation is not accepted: {x[:40]!r}")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:
+            raise PreconditionError(f"cannot parse rational {x[:40]!r}: {e}") from e
     raise PreconditionError(f"not an exact rational: {x!r}")
 
 
@@ -55,10 +58,7 @@ def _record_rationals(values, what: str) -> list:
     anything else (bools and floats included) raises PreconditionError."""
     if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in values):
         raise PreconditionError(f"{what} rationals must be strings or integers")
-    try:
-        return [_rat(v) for v in values]
-    except (ValueError, ZeroDivisionError) as e:
-        raise PreconditionError(f"{what} holds a malformed rational: {e}") from e
+    return [_rat(v) for v in values]
 
 
 def _raw(beta: Fraction, nums: tuple, scale: int) -> "QSeries":

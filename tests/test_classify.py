@@ -60,6 +60,12 @@ def test_multiplier_spec():
         MultiplierSpec(-1, 0)
     with pytest.raises(PreconditionError):
         MultiplierSpec(0, 12)
+
+
+@pytest.mark.parametrize("eta_weight", ["1/0", "abc", "1/2/3"])
+def test_multiplier_spec_refuses_malformed_rational_text(eta_weight):
+    with pytest.raises(PreconditionError, match="cannot parse rational"):
+        MultiplierSpec(eta_weight, 0)
     with pytest.raises(PreconditionError):
         MultiplierSpec(0, "3")
 

@@ -177,6 +177,15 @@ def test_verify_structure_rational_size_cap_boundary(capsys, monkeypatch):
     assert run_json(capsys, argv) == {"ran": True}
 
 
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_verify_structure_refuses_precision_below_one(capsys, monkeypatch, precision):
+    monkeypatch.setattr(vvmf.modstruct, "solve_fundamental_system", refuse)
+    argv = ["verify-structure", "--dim", "4", "--r", "1/5,11/30,8/15,9/10", "--epsilon", "-1", "--precision=" + precision]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "precision must be >= 1" in err
+
+
 def test_verify_structure_classifies_before_any_series(capsys, monkeypatch):
     # an input that fails the classification's own checks exits 2
     monkeypatch.setattr(vvmf.modstruct, "solve_fundamental_system", refuse)

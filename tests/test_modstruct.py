@@ -11,6 +11,7 @@ import pytest
 from vvmf import deriv, linalg, modstruct
 from vvmf import (
     DivisibilityError,
+    InternalCheckError,
     MultiplierSpec,
     PrecisionError,
     PreconditionError,
@@ -431,12 +432,125 @@ PRECISION_INPUTS = (
 )
 
 
+def full_report(rep, precision):
+    """The report on max(precision, d) steps, with no short run first."""
+    script = modstruct._dim4_structure if rep.dimension == 4 else modstruct._dim5_structure
+    return script(rep, max(precision, rep.dimension))[0]
+
+
+def count_solves(monkeypatch):
+    calls = []
+    real = modstruct._shifted_system
+
+    def spy(lams, n_shift, precision):
+        calls.append(precision)
+        return real(lams, n_shift, precision)
+
+    monkeypatch.setattr(modstruct, "_shifted_system", spy)
+    return calls
+
+
 @pytest.mark.parametrize("rep", PRECISION_INPUTS)
-def test_structure_reports_do_not_depend_on_precision(rep):
-    # the scripts work at no fewer steps than the dimension, so even
-    # precision 1 gives the report of precision 30
+def test_structure_reports_do_not_depend_on_precision(rep, monkeypatch):
+    # every report is certified on d steps, and equals the one on 30 steps
     structure = dim4_structure if rep.dimension == 4 else dim5_structure
-    assert structure(rep, 1) == structure(rep, 30)
+    want = full_report(rep, 30)
+    calls = count_solves(monkeypatch)
+    assert structure(rep, 1) == structure(rep, 30) == want
+    assert calls == [rep.dimension] * 2
+
+
+ODD_DIM4 = PRECISION_INPUTS[1]
+EVEN_DIM4 = PRECISION_INPUTS[0]
+
+
+def test_structure_escalates_when_a_rank_falls_short_of_its_count(monkeypatch):
+    # the short report is unchanged, but a product count one above its rank
+    # leaves the rank unproven on the long window
+    real = modstruct._product_rank
+
+    def short_count(gens, target, n_samples):
+        rank, count = real(gens, target, n_samples)
+        return rank, count + (gens[0].precision == 4)
+
+    want = full_report(ODD_DIM4, 30)
+    monkeypatch.setattr(modstruct, "_product_rank", short_count)
+    calls = count_solves(monkeypatch)
+    assert dim4_structure(ODD_DIM4, 30) == want
+    assert calls == [4, 30]
+
+
+def test_structure_escalates_when_the_descended_vector_vanishes_on_the_short_window(monkeypatch):
+    real = modstruct.descend_by_delta
+
+    def vanishing(G):
+        Q = real(G)
+        if G.components[0].precision > 4:
+            return Q
+        return VvmfVector(Q.weight, [QSeries.zero(f.precision) for f in Q.components], Q.exponents)
+
+    want = full_report(EVEN_DIM4, 30)
+    monkeypatch.setattr(modstruct, "descend_by_delta", vanishing)
+    calls = count_solves(monkeypatch)
+    assert dim4_structure(EVEN_DIM4, 30) == want
+    assert want["descended_nonzero"]
+    assert calls == [4, 30]
+
+
+@pytest.mark.parametrize("error,escalates", [(PrecisionError, True), (InternalCheckError, False)])
+def test_structure_escalates_on_precondition_errors_only(error, escalates, monkeypatch):
+    real = modstruct._shifted_system
+    calls = []
+
+    def failing(lams, n_shift, precision):
+        calls.append(precision)
+        if precision == 5:
+            raise error("short window")
+        return real(lams, n_shift, precision)
+
+    rep = PRECISION_INPUTS[2]
+    want = full_report(rep, 30)
+    monkeypatch.setattr(modstruct, "_shifted_system", failing)
+    if escalates:
+        assert dim5_structure(rep, 30) == want
+        assert calls == [5, 30]
+    else:
+        with pytest.raises(error):
+            dim5_structure(rep, 30)
+        assert calls == [5]
+
+
+def test_structure_at_d_steps_runs_once(monkeypatch):
+    # with precision at most d, the short run is the full run: its report or
+    # its error is returned without a second pass
+    calls = count_solves(monkeypatch)
+    assert dim4_structure(ODD_DIM4, 4) == dim4_structure(ODD_DIM4, 2)
+    assert calls == [4, 4]
+    calls.clear()
+    monkeypatch.setattr(modstruct, "_product_rank", lambda gens, target, n: (0, 1))
+    report = dim4_structure(ODD_DIM4, 3)
+    assert not report["dims_match"] and calls == [4]
+
+
+@pytest.mark.parametrize("structure,rep", [(dim4_structure, ODD_DIM4), (dim5_structure, PRECISION_INPUTS[2])])
+@pytest.mark.parametrize("precision", [0, -5])
+def test_structure_refuses_precision_below_one(structure, rep, precision, monkeypatch):
+    calls = count_solves(monkeypatch)
+    with pytest.raises(PreconditionError, match="precision must be >= 1"):
+        structure(rep, precision)
+    assert calls == []
+
+
+def test_structure_on_twelve_digit_denominators_at_precision_200():
+    # the dimension 5 branch N = 4 with twelve-digit denominators: its full
+    # run on 200 steps takes tens of seconds, certified on 5 steps it answers
+    # at once
+    rep = RepInput(5, (F(3419116618, 4243856509), F(107021490649, 165510403851),
+                       F(49313937167, 110340269234), F(323105073457, 331020807702),
+                       F(137733055909, 662041615404)), -1, TRIV)
+    report = dim5_structure(rep, 200)
+    assert report["N"] == 4 and report["independent_triple"]
+    assert report == full_report(rep, 30)
 
 
 @pytest.mark.parametrize("bad", [0.5, "1e5"])

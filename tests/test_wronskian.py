@@ -85,6 +85,12 @@ def test_weight_lower_bound_refuses_inexact_rationals(lam):
     assert weight_lower_bound(2, "1/10", 0) == Fraction(-2, 5)
 
 
+@pytest.mark.parametrize("lam", ["abc", "1/0", "1/2/3", ""])
+def test_weight_lower_bound_refuses_malformed_rational_text(lam):
+    with pytest.raises(PreconditionError, match="cannot parse rational"):
+        weight_lower_bound(2, lam, 0)
+
+
 def test_wronskian_precision_guard():
     F = solve_fundamental_system(unique_operator([0, Fraction(1, 2)]), 12)
     with pytest.raises(PrecisionError):
