@@ -44,6 +44,7 @@ from .frobenius import monodromy_T, solve_fundamental_system, theta_form
 from .mmde import Mmde, appendix_family, apply, indicial_polynomial, unique_operator
 from .modstruct import (
     appendix_demo,
+    cyclic_structure,
     d_iterate_generators,
     delta_divisible_combination,
     descend_by_delta,

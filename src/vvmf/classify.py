@@ -3,7 +3,9 @@
 Roots of unity are handled as exact rational angles.  For input data
 (T-eigenvalue angles, the sign of -I, a multiplier system) the classifiers
 produce the minimal weight and generator-weight offsets of the associated
-graded module, one routine per dimension 1 through 5.
+graded module, one routine per dimension 1 through 5.  Dimensions 1-3, the
+odd branch of dimension 4 and the twist class N = 0 of dimension 5 share one
+cyclic series: offsets 0 .. d-1 from weight 12*(lambda sum)/d + 1 - d.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ class RepInput:
                 )
         if dimension == 4 and (3 * rsum).denominator != 1:
             raise PreconditionError("dimension 4 requires 3 * (angle sum) integral")
-        if dimension == 5 and (12 * rsum).denominator != 1:
-            raise PreconditionError("dimension 5 requires 12 * (angle sum) integral")
+        if dimension in (1, 5) and (12 * rsum).denominator != 1:
+            raise PreconditionError("dimension %d requires 12 * (angle sum) integral" % dimension)
         self.dimension = dimension
         self.exponents = exps
         self.epsilon = epsilon
@@ -243,24 +245,29 @@ def _require_t_determined(rep: RepInput, both: str):
         )
 
 
+def _cyclic_hp(rep: RepInput) -> HpSeries:
+    """The series of a module generated by one form over forms and the modular derivative."""
+    d = rep.dimension
+    return HpSeries(12 * sum(rep.lambdas) / d + 1 - d, range(d))
+
+
 def classify_dim1(chi_power: int, multiplier: MultiplierSpec) -> HpSeries:
     """One-dimensional case: everything is a multiple of an eta power."""
     if not isinstance(chi_power, int) or not (0 <= chi_power <= 11):
         raise PreconditionError("character power must be an integer in 0..11")
-    lams, _ = minimal_admissible_set([Fraction(chi_power, 12)], multiplier.cusp_parameter)
-    return HpSeries(12 * lams[0], (0,))
+    return _cyclic_hp(RepInput(1, [Fraction(chi_power, 12)], 1, multiplier))
 
 
 def classify_dim2(rep: RepInput) -> HpSeries:
     if rep.dimension != 2:
         raise PreconditionError("expected a two-dimensional input")
-    return HpSeries(6 * sum(rep.lambdas) - 1, (0, 1))
+    return _cyclic_hp(rep)
 
 
 def classify_dim3(rep: RepInput) -> HpSeries:
     if rep.dimension != 3:
         raise PreconditionError("expected a three-dimensional input")
-    return HpSeries(4 * sum(rep.lambdas) - 2, (0, 1, 2))
+    return _cyclic_hp(rep)
 
 
 def dim4_parity(rep: RepInput) -> str:
@@ -287,10 +294,9 @@ def classify_dim4(rep: RepInput) -> HpSeries:
         rep,
         "cyclic with offsets {0,1,2,3} at 3*lambda-3, or offsets {0,1,1,2} at 3*lambda-2",
     )
-    lam = sum(rep.lambdas)
     if dim4_parity(rep) == "odd":
-        return HpSeries(3 * lam - 3, (0, 1, 2, 3))
-    return HpSeries(3 * lam - 2, (0, 1, 1, 2))
+        return _cyclic_hp(rep)
+    return HpSeries(3 * sum(rep.lambdas) - 2, (0, 1, 1, 2))
 
 
 _DIM5_SHIFTS = (0, 0, -2, -3, -4)

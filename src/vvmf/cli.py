@@ -17,9 +17,7 @@ from .classify import (
     HpSeries,
     MultiplierSpec,
     RepInput,
-    classify_dim1,
-    classify_dim2,
-    classify_dim3,
+    _cyclic_hp,
     classify_dim4,
     classify_dim5,
     dim5_data,
@@ -218,20 +216,9 @@ def _classifier_doc(h: HpSeries, banner=None, extra=None) -> dict:
 
 def _cmd_classify(args) -> dict:
     m = _multiplier_from_args(args)
-    rs = args.r
-    if args.dim == 1:
-        if len(rs) != 1:
-            raise PreconditionError("dimension 1 takes a single angle")
-        power = 12 * rs[0]
-        if power.denominator != 1 or not (0 <= power <= 11):
-            raise PreconditionError("dimension 1 angle must be a twelfth of an integer in 0..11")
-        h = classify_dim1(int(power), m)
-        return _classifier_doc(h)
-    rep = RepInput(args.dim, rs, args.epsilon, m, args.assert_t_determined)
-    if args.dim == 2:
-        return _classifier_doc(classify_dim2(rep))
-    if args.dim == 3:
-        return _classifier_doc(classify_dim3(rep))
+    rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
+    if args.dim < 4:
+        return _classifier_doc(_cyclic_hp(rep))
     banner = (
         "T-determined: asserted by caller"
         if rep.t_determined_asserted
@@ -264,9 +251,7 @@ def _cmd_verify_structure(args) -> dict:
     _refuse_long_rationals(args.eta_weight, *args.r)
     m = _multiplier_from_args(args)
     rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
-    if args.dim not in (4, 5):
-        raise UnsupportedInputError("structure verification covers dimensions 4 and 5")
-    structure = modstruct.dim4_structure if args.dim == 4 else modstruct.dim5_structure
+    structure = {4: modstruct.dim4_structure, 5: modstruct.dim5_structure}.get(args.dim, modstruct.cyclic_structure)
     return structure(rep, args.precision)
 
 

@@ -2,9 +2,10 @@
 
 Generator sets from iterated modular derivatives, exact ranks of truncated
 weight spaces, the search for combinations divisible by the discriminant,
-division by the discriminant, and scripted verifications of the
-four- and five-dimensional structure theorems plus the order-six
-one-parameter family.
+division by the discriminant, and scripted verifications of the structure
+theorems in dimensions 1 through 5 plus the order-six one-parameter family.
+One cyclic script serves dimensions 1-3, the odd branch of dimension 4 and
+the twist class N = 0 of dimension 5.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import lcm as _lcm
 from . import linalg
 from .classify import (
     RepInput,
+    _cyclic_hp,
     classify_dim4,
     classify_dim5,
     dim4_parity,
@@ -131,14 +133,6 @@ def weight_space_dimension(generators, target_weight, n_samples: int) -> int:
     """
     if n_samples < 1:
         raise PreconditionError("need at least one coefficient sample")
-    generators = list(generators)
-    # A column subset of full row rank proves full row rank, so the products
-    # of the generators cut to one unit step per generator are ranked first;
-    # only where those rows are dependent does the full window decide.
-    cut = [g.truncated(min(g.precision, len(generators))) for g in generators]
-    rank, count = _product_rank(cut, target_weight, n_samples)
-    if rank == count:
-        return rank
     return _product_rank(generators, target_weight, n_samples)[0]
 
 
@@ -252,6 +246,12 @@ def _descend(ladder, min_gap: int, extra=()):
     return None if combo is None else descend_by_delta(combo)
 
 
+def cyclic_structure(rep: RepInput, precision: int = 20) -> dict:
+    """Scripted verification of the cyclic structure theorem in dimensions 1-3:
+    the report on max(precision, d) unit steps, found on d when they certify it."""
+    return _certified(_cyclic_structure, rep, precision)
+
+
 def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
     """Scripted verification of the four-dimensional structure theorem: the
     report on max(precision, 4) unit steps, found on 4 when they certify it."""
@@ -290,10 +290,24 @@ def _certified(script, rep: RepInput, precision: int) -> dict:
     return script(rep, max(precision, d))[0]
 
 
-def _graded_ranks(F: VvmfVector, h, precision: int) -> list:
-    """(weight, rank, product count) of the module over F's ladder at k0 .. k0 + 8."""
+def _cyclic(report: dict, h, precision: int, F: VvmfVector) -> tuple:
+    """report with F's weight and the ranks over its ladder at k0 .. k0 + 8
+    against h, and those ranks as (weight, rank, product count)."""
     gens = d_iterate_generators(F, F.d)
-    return [(t, *_product_rank(gens, t, precision)) for t in (h.k0 + 2 * kp for kp in range(5))]
+    ranks = [(t, *_product_rank(gens, t, precision)) for t in (h.k0 + 2 * kp for kp in range(5))]
+    dims = [(str(t), r, hp_dimension(h, t)) for t, r, _ in ranks]
+    report["generator_weight_matches_k0"] = F.weight == h.k0
+    report["dims"] = dims
+    report["dims_match"] = all(got == want for _, got, want in dims)
+    return report, ranks
+
+
+def _cyclic_structure(rep: RepInput, precision: int) -> tuple:
+    if rep.dimension > 3:
+        raise PreconditionError("expected an input of dimension 1, 2 or 3")
+    h = _cyclic_hp(rep)
+    report = {"k0": h.k0, "offsets": h.offsets, "numerator": h.numerator()}
+    return _cyclic(report, h, precision, _shifted_system(sorted(rep.lambdas), 0, precision))
 
 
 def _dim4_structure(rep: RepInput, precision: int) -> tuple:
@@ -310,13 +324,7 @@ def _dim4_structure(rep: RepInput, precision: int) -> tuple:
         "numerator": h.numerator(),
     }
     if parity == "odd":
-        F = _shifted_system(lams, 0, precision)
-        report["generator_weight_matches_k0"] = F.weight == h.k0
-        ranks = _graded_ranks(F, h, precision)
-        dims = [(str(t), r, hp_dimension(h, t)) for t, r, _ in ranks]
-        report["dims"] = dims
-        report["dims_match"] = all(got == want for _, got, want in dims)
-        return report, ranks
+        return _cyclic(report, h, precision, _shifted_system(lams, 0, precision))
     F1 = _shifted_system(lams, 1, precision)
     report["shifted_weight"] = F1.weight
     report["shifted_weight_is_3lambda"] = F1.weight == 3 * lam
@@ -349,9 +357,8 @@ def _dim5_structure(rep: RepInput, precision: int) -> tuple:
     F = _shifted_system(lams, n, precision)
     report["anchor_weight_matches"] = F.weight == data["k_N"]
     if n == 0:
-        ranks = _graded_ranks(F, h, precision)
-        report["dims_match"] = all(r == hp_dimension(h, t) for t, r, _ in ranks)
-        return report, ranks
+        cyclic, ranks = _cyclic({}, h, precision, F)
+        return {**report, "dims_match": cyclic["dims_match"]}, ranks
     ladder = _ladder(F, 4)
     shifted = [j for j in range(5) if F.components[j].beta != F.exponents[j]]
     unshifted = [j for j in range(5) if j not in shifted]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf import classify
 from vvmf import (
     HpSeries,
     MultiplierSpec,
@@ -134,6 +135,21 @@ def test_classify_dim1():
         classify_dim1(12, MultiplierSpec.trivial())
 
 
+def test_rep_input_refuses_a_dimension_one_angle_off_the_twelfths():
+    # the T-eigenvalue of a character of SL2(Z) is a twelfth root of unity
+    with pytest.raises(PreconditionError, match="dimension 1 requires 12"):
+        RepInput(1, [F(1, 5)], 1, MultiplierSpec.trivial())
+    assert RepInput(1, [F(5, 12)], 1, MultiplierSpec.trivial()).lambdas == (F(5, 12),)
+
+
+@pytest.mark.parametrize("m", [MultiplierSpec.trivial(), MultiplierSpec(6, 0), MultiplierSpec(F(7, 3), 5)])
+def test_classify_dim1_is_the_weight_of_the_eta_power(m):
+    # k0 = 12 lambda, the weight of the eta power with exponent lambda
+    for c in range(12):
+        lams, _ = minimal_admissible_set([F(c, 12)], m.cusp_parameter)
+        assert classify_dim1(c, m) == HpSeries(12 * lams[0], (0,))
+
+
 def test_classify_dim2_dim3():
     triv = MultiplierSpec.trivial()
     two = classify_dim2(RepInput(2, (F(1, 12), F(5, 12)), 1, triv, True))
@@ -202,6 +218,8 @@ def test_dim5_twist_classes():
         h = classify_dim5(rep)
         assert h.k0 == data["k0"]
         assert h.numerator() == numerator
+        # the table row N = 0 is the cyclic series
+        assert (h == classify._cyclic_hp(rep)) == (n == 0)
 
 
 def test_hp_series_guards_and_numerator():

@@ -552,10 +552,14 @@ def test_verify_structure_dim5(capsys):
 
 
 def test_verify_structure_dim3_unsupported(capsys):
-    rc, _ = run_cli(capsys, [
+    # dimensions 1-3 answer with the cyclic report: F0, DF0, D^2F0 from weight 2
+    doc = run_json(capsys, [
         "verify-structure", "--dim", "3", "--r", "0,1/3,2/3",
     ])
-    assert rc == 3
+    assert doc["k0"] == "2" and doc["offsets"] == [0, 1, 2]
+    assert doc["numerator"] == "1+t^2+t^4"
+    assert doc["generator_weight_matches_k0"] is True and doc["dims_match"] is True
+    assert doc["dims"] == [["2", 1, 1], ["4", 1, 1], ["6", 2, 2], ["8", 2, 2], ["10", 3, 3]]
 
 
 def test_text_format(capsys):

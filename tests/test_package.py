@@ -36,6 +36,7 @@ PUBLIC = [
     "classify_dim3",
     "classify_dim4",
     "classify_dim5",
+    "cyclic_structure",
     "d_iterate_generators",
     "delta",
     "delta_divisible_combination",
