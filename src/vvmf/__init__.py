@@ -55,7 +55,7 @@ from .modstruct import (
     vector_rank,
     weight_space_dimension,
 )
-from .qseries import QSeries, Rat, add, divide_exact, make_series, mul, q_derivative
+from .qseries import QSeries, add, divide_exact, mul, q_derivative
 from .wronskian import modular_wronskian, weight_lower_bound, wronskian_factorization
 
 __version__ = "0.1.0"

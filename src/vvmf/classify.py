@@ -123,12 +123,9 @@ def minimal_admissible_set(r, m):
         if not (0 <= x < 1):
             raise PreconditionError("eigenvalue angles must lie in [0, 1)")
         raw = x + m / 12
-        lam = raw - raw.__floor__()
-        lams.append(lam)
-        drop = lam - raw
-        if drop not in (Fraction(0), Fraction(-1)):
-            raise PreconditionError("admissible drop must be 0 or -1")
-        ls.append(int(drop))
+        # raw lies in [0, 2), so the drop -floor(raw) is 0 or -1
+        lams.append(raw - raw.__floor__())
+        ls.append(-raw.__floor__())
     return tuple(lams), tuple(ls)
 
 
@@ -317,12 +314,8 @@ def dim5_data(rep: RepInput) -> dict:
         rep,
         "one of the five twist classes N=0..4 with anchor weight 12(lambda+N)/5 - 4",
     )
-    rsum = sum(rep.exponents, Fraction(0))
-    lsum = sum(rep.drops)
-    hits = [n for n in range(5) if (12 * (rsum + lsum + n)) % 5 == 0]
-    if len(hits) != 1:
-        raise PreconditionError("twist congruence must have a unique solution")
-    n = hits[0]
+    # the N with 12 * (angle sum + drop sum + N) = 0 (mod 5), as 12 * 3 = 1 (mod 5)
+    n = int(-36 * (sum(rep.exponents) + sum(rep.drops))) % 5
     lam = sum(rep.lambdas)
     k_n = Fraction(12) * (lam + n) / 5 - 4
     return {

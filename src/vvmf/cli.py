@@ -251,8 +251,7 @@ def _cmd_verify_structure(args) -> dict:
     _refuse_long_rationals(args.eta_weight, *args.r)
     m = _multiplier_from_args(args)
     rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
-    structure = {4: modstruct.dim4_structure, 5: modstruct.dim5_structure}.get(args.dim, modstruct.cyclic_structure)
-    return structure(rep, args.precision)
+    return modstruct._structure(rep, args.precision)
 
 
 def _add_common(p) -> None:

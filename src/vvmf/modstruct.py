@@ -4,8 +4,10 @@ Generator sets from iterated modular derivatives, exact ranks of truncated
 weight spaces, the search for combinations divisible by the discriminant,
 division by the discriminant, and scripted verifications of the structure
 theorems in dimensions 1 through 5 plus the order-six one-parameter family.
-One cyclic script serves dimensions 1-3, the odd branch of dimension 4 and
-the twist class N = 0 of dimension 5.
+Each verification classifies its input once, refusals included, and then
+runs only its series part, on d unit steps first.  One cyclic check serves
+dimensions 1-3, the odd branch of dimension 4 and the twist class N = 0 of
+dimension 5.
 """
 
 from __future__ import annotations
@@ -249,45 +251,71 @@ def _descend(ladder, min_gap: int, extra=()):
 def cyclic_structure(rep: RepInput, precision: int = 20) -> dict:
     """Scripted verification of the cyclic structure theorem in dimensions 1-3:
     the report on max(precision, d) unit steps, found on d when they certify it."""
-    return _certified(_cyclic_structure, rep, precision)
+    if rep.dimension > 3:
+        raise PreconditionError("expected an input of dimension 1, 2 or 3")
+    return _structure(rep, precision)
 
 
 def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
     """Scripted verification of the four-dimensional structure theorem: the
     report on max(precision, 4) unit steps, found on 4 when they certify it."""
-    return _certified(_dim4_structure, rep, precision)
+    if rep.dimension != 4:
+        raise PreconditionError("expected a four-dimensional input")
+    return _structure(rep, precision)
 
 
 def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
     """Scripted verification of the five-dimensional structure theorem: the
     report on max(precision, 5) unit steps, found on 5 when they certify it."""
-    return _certified(_dim5_structure, rep, precision)
+    if rep.dimension != 5:
+        raise PreconditionError("expected a five-dimensional input")
+    return _structure(rep, precision)
 
 
-def _certified(script, rep: RepInput, precision: int) -> dict:
-    """The report of script on max(precision, d) unit steps, d = rep.dimension.
+def _structure(rep: RepInput, precision: int) -> dict:
+    """The report of rep on max(precision, d) unit steps, d = rep.dimension.
 
-    script(rep, n) returns the report on n steps and its graded ranks as
-    (weight, rank, product count).  It runs on d steps first, and that report
-    is returned when it is certified: no PreconditionError, every boolean
+    _script classifies rep once.  Its series part runs on d steps first, and
+    that report is returned when certified: no PrecisionError, every boolean
     true and every rank equal to its product count.  It then equals the
     longer one: the kill rows read at most two coefficients, a nonzero
     truncation is a nonzero series, a column subset of full row rank proves
-    full row rank, and the weights and the classification read no series.
-    Otherwise the longer run decides, errors included.
-    """
+    full row rank, and the weights read no series.  Otherwise the longer run
+    decides, errors included."""
     if precision < 1:
         raise PreconditionError("precision must be >= 1")
+    series = _script(rep)
     d = rep.dimension
     if precision > d:
         try:
-            report, ranks = script(rep, d)
-        except PreconditionError:
+            report, ranks = series(d)
+        except PrecisionError:
             pass
         else:
             if all(v for v in report.values() if isinstance(v, bool)) and all(r == c for _, r, c in ranks):
                 return report
-    return script(rep, max(precision, d))[0]
+    return series(max(precision, d))[0]
+
+
+def _script(rep: RepInput):
+    """Classify rep, raising every refusal, and return the series part: n ->
+    (report on n unit steps, graded ranks as (weight, rank, product count)),
+    from the system shifted by 0 (cyclic), 1 (dimension 4 even) or N (dimension 5)."""
+    header, shift, check = {}, 0, _cyclic
+    if rep.dimension == 4:
+        h = classify_dim4(rep)
+        header["parity"] = dim4_parity(rep)
+        if header["parity"] == "even":
+            shift, check = 1, _dim4_even
+    elif rep.dimension == 5:
+        data = dim5_data(rep)
+        h = classify_dim5(rep)
+        shift, check = data["N"], _dim5
+        header.update(N=shift, k_N=data["k_N"], n_N=data["n_N"])
+    else:
+        h = _cyclic_hp(rep)
+    header.update(k0=h.k0, offsets=h.offsets, numerator=h.numerator())
+    return lambda n: check(dict(header), h, n, _shifted_system(sorted(rep.lambdas), shift, n))
 
 
 def _cyclic(report: dict, h, precision: int, F: VvmfVector) -> tuple:
@@ -302,32 +330,10 @@ def _cyclic(report: dict, h, precision: int, F: VvmfVector) -> tuple:
     return report, ranks
 
 
-def _cyclic_structure(rep: RepInput, precision: int) -> tuple:
-    if rep.dimension > 3:
-        raise PreconditionError("expected an input of dimension 1, 2 or 3")
-    h = _cyclic_hp(rep)
-    report = {"k0": h.k0, "offsets": h.offsets, "numerator": h.numerator()}
-    return _cyclic(report, h, precision, _shifted_system(sorted(rep.lambdas), 0, precision))
-
-
-def _dim4_structure(rep: RepInput, precision: int) -> tuple:
-    if rep.dimension != 4:
-        raise PreconditionError("expected a four-dimensional input")
-    h = classify_dim4(rep)
-    parity = dim4_parity(rep)
-    lams = sorted(rep.lambdas)
-    lam = sum(lams)
-    report = {
-        "parity": parity,
-        "k0": h.k0,
-        "offsets": h.offsets,
-        "numerator": h.numerator(),
-    }
-    if parity == "odd":
-        return _cyclic(report, h, precision, _shifted_system(lams, 0, precision))
-    F1 = _shifted_system(lams, 1, precision)
+def _dim4_even(report: dict, h, precision: int, F1: VvmfVector) -> tuple:
+    """report with the descent to k0 of F1, the system shifted by one; its exponents are the lambdas."""
     report["shifted_weight"] = F1.weight
-    report["shifted_weight_is_3lambda"] = F1.weight == 3 * lam
+    report["shifted_weight_is_3lambda"] = F1.weight == 3 * sum(F1.exponents)
     ladder = _ladder(F1, 3)
     G = _descend(ladder, 4)
     report["combination_exists"] = G is not None
@@ -339,29 +345,15 @@ def _dim4_structure(rep: RepInput, precision: int) -> tuple:
     return report, ()
 
 
-def _dim5_structure(rep: RepInput, precision: int) -> tuple:
-    if rep.dimension != 5:
-        raise PreconditionError("expected a five-dimensional input")
-    data = dim5_data(rep)
-    h = classify_dim5(rep)
-    lams = sorted(rep.lambdas)
-    n = data["N"]
-    report = {
-        "N": n,
-        "k_N": data["k_N"],
-        "n_N": data["n_N"],
-        "k0": h.k0,
-        "offsets": h.offsets,
-        "numerator": h.numerator(),
-    }
-    F = _shifted_system(lams, n, precision)
-    report["anchor_weight_matches"] = F.weight == data["k_N"]
+def _dim5(report: dict, h, precision: int, F: VvmfVector) -> tuple:
+    """report with the checks of twist class N on the system shifted by N."""
+    n, k_n = report["N"], report["k_N"]
+    report["anchor_weight_matches"] = F.weight == k_n
     if n == 0:
         cyclic, ranks = _cyclic({}, h, precision, F)
         return {**report, "dims_match": cyclic["dims_match"]}, ranks
     ladder = _ladder(F, 4)
     shifted = [j for j in range(5) if F.components[j].beta != F.exponents[j]]
-    unshifted = [j for j in range(5) if j not in shifted]
     if n == 1:
         G = _descend(ladder, 4)
         report["combination_exists"] = G is not None
@@ -374,13 +366,10 @@ def _dim5_structure(rep: RepInput, precision: int) -> tuple:
         report["combination_exists"] = G is not None
         if G is not None:
             report["descended_weight"] = G.weight
-            report["descends_to_k0"] = (
-                G.weight == data["k_N"] - 4 and G.weight == h.k0 and not G.is_zero()
-            )
+            report["descends_to_k0"] = G.weight == k_n - 4 and G.weight == h.k0 and not G.is_zero()
         return report, ()
     if n == 3:
-        avoid = (data["k_N"] - 6) / 12
-        j1 = next(j for j in unshifted if F.exponents[j] != avoid)
+        j1 = next(j for j in range(5) if j not in shifted and F.exponents[j] != (k_n - 6) / 12)
         g1 = _descend(ladder[:4], 0)
         report["combination_exists"] = g1 is not None
         if g1 is not None:
@@ -391,10 +380,8 @@ def _dim5_structure(rep: RepInput, precision: int) -> tuple:
             report["second_descent_weight"] = g2.weight
             report["independent_pair"] = vector_rank([derivative_vector(g1), g2]) == 2
         return report, ()
-    avoid1 = (data["k_N"] - 8) / 12
-    avoid2 = (data["k_N"] - 6) / 12
-    i1 = next(j for j in shifted if F.exponents[j] != avoid1)
-    i2 = next(j for j in shifted if j != i1 and F.exponents[j] != avoid2)
+    i1 = next(j for j in shifted if F.exponents[j] != (k_n - 8) / 12)
+    i2 = next(j for j in shifted if j != i1 and F.exponents[j] != (k_n - 6) / 12)
     g1 = _descend(ladder[:3], 0)
     report["combination_exists"] = g1 is not None
     if g1 is not None:

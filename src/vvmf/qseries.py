@@ -33,8 +33,6 @@ from math import gcd, lcm
 from ._kernel import convolve
 from .errors import PrecisionError, PreconditionError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 
 
@@ -328,16 +326,6 @@ class QSeries:
         if len(coeffs) != precision + 1:
             raise PreconditionError("record length disagrees with precision")
         return cls(beta, coeffs)
-
-
-def make_series(beta, coeffs, precision: int) -> QSeries:
-    """Canonicalized series from a base exponent and N+1 coefficients."""
-    coeffs = list(coeffs)
-    if len(coeffs) != precision + 1:
-        raise PreconditionError(
-            f"expected {precision + 1} coefficients, got {len(coeffs)}"
-        )
-    return QSeries(beta, coeffs)
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:

@@ -162,8 +162,7 @@ PAST = "1" + "0" * _MAX_CLI_DIGITS  # the least number of _MAX_CLI_DIGITS + 1 di
     ["--dim", "4", "--r", "1/5,11/30,8/15,9/10", "--epsilon", "-1", "--eta-weight", "%d/%s" % (int(PAST) + 1, PAST[:-1])],
 ])
 def test_verify_structure_rational_size_cap(capsys, monkeypatch, argv):
-    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", refuse)
-    monkeypatch.setattr(vvmf.cli.modstruct, "dim5_structure", refuse)
+    monkeypatch.setattr(vvmf.cli.modstruct, "_structure", refuse)
     assert main(["verify-structure"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and "beyond %d digits" % _MAX_CLI_DIGITS in err
@@ -171,7 +170,7 @@ def test_verify_structure_rational_size_cap(capsys, monkeypatch, argv):
 
 def test_verify_structure_rational_size_cap_boundary(capsys, monkeypatch):
     top = "9" * _MAX_CLI_DIGITS
-    monkeypatch.setattr(vvmf.cli.modstruct, "dim4_structure", lambda rep, precision: {"ran": True})
+    monkeypatch.setattr(vvmf.cli.modstruct, "_structure", lambda rep, precision: {"ran": True})
     argv = ["verify-structure", "--dim", "4", "--r", "1/%s,2/%s,%d/%s,0" % (top, top, int(top) - 3, top),
             "--assert-t-determined", "--eta-weight", "%d/%s" % (int(top) - 1, top)]
     assert run_json(capsys, argv) == {"ran": True}

@@ -17,6 +17,7 @@ from vvmf import (
     PreconditionError,
     QSeries,
     RepInput,
+    TDeterminedRequiredError,
     VvmfVector,
     appendix_demo,
     classify_dim4,
@@ -416,8 +417,7 @@ PRECISION_INPUTS = (
 
 def full_report(rep, precision):
     """The report on max(precision, d) steps, with no short run first."""
-    script = {4: modstruct._dim4_structure, 5: modstruct._dim5_structure}.get(rep.dimension, modstruct._cyclic_structure)
-    return script(rep, max(precision, rep.dimension))[0]
+    return modstruct._script(rep)(max(precision, rep.dimension))[0]
 
 
 def count_solves(monkeypatch):
@@ -470,7 +470,7 @@ def test_cyclic_structure_holds_in_dimensions_one_to_three(monkeypatch):
     # d - 1 derivatives are a free basis; each report is certified on d steps
     calls = count_solves(monkeypatch)
     for rep in seeded_cyclic_inputs(100):
-        want = modstruct._cyclic_structure(rep, 20)[0]
+        want = full_report(rep, 20)
         calls.clear()
         report = cyclic_structure(rep)
         assert calls == [rep.dimension], rep.exponents
@@ -478,9 +478,32 @@ def test_cyclic_structure_holds_in_dimensions_one_to_three(monkeypatch):
         assert report["generator_weight_matches_k0"] and report["dims_match"], rep.exponents
 
 
-def test_cyclic_structure_needs_dimension_below_four():
-    with pytest.raises(PreconditionError):
+def test_cyclic_structure_needs_dimension_below_four(monkeypatch):
+    # the dimension refusal comes before any classification or solve
+    calls = count_solves(monkeypatch)
+    for name in ("_cyclic_hp", "classify_dim4", "dim4_parity"):
+        monkeypatch.setattr(modstruct, name, lambda rep: calls.append(rep))
+    with pytest.raises(PreconditionError, match="dimension 1, 2 or 3"):
         cyclic_structure(ODD_DIM4)
+    assert calls == []
+
+
+def test_structure_classification_refusals_run_once(monkeypatch):
+    # no window lifts a refusal of the classification: it is raised once,
+    # before any series is solved
+    rep = RepInput(5, tuple(F(x, 12) for x in (1, 2, 3, 4, 6)), 1, TRIV)
+    classified = []
+    real = modstruct.dim5_data
+
+    def spy(rep):
+        classified.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(modstruct, "dim5_data", spy)
+    calls = count_solves(monkeypatch)
+    with pytest.raises(TDeterminedRequiredError):
+        dim5_structure(rep, 30)
+    assert len(classified) == 1 and calls == []
 
 
 def test_structure_escalates_when_a_rank_falls_short_of_its_count(monkeypatch):
@@ -516,8 +539,10 @@ def test_structure_escalates_when_the_descended_vector_vanishes_on_the_short_win
     assert calls == [4, 30]
 
 
-@pytest.mark.parametrize("error,escalates", [(PrecisionError, True), (InternalCheckError, False)])
-def test_structure_escalates_on_precondition_errors_only(error, escalates, monkeypatch):
+@pytest.mark.parametrize(
+    "error,escalates", [(PrecisionError, True), (PreconditionError, False), (InternalCheckError, False)]
+)
+def test_structure_escalates_on_precision_errors_only(error, escalates, monkeypatch):
     real = modstruct._shifted_system
     calls = []
 

@@ -19,7 +19,6 @@ PUBLIC = [
     "PrecisionError",
     "PreconditionError",
     "QSeries",
-    "Rat",
     "RationalAngle",
     "ReducibilityBoundaryError",
     "RepInput",
@@ -53,7 +52,6 @@ PUBLIC = [
     "hp_dimension",
     "indicial_polynomial",
     "iterate_derivative",
-    "make_series",
     "minimal_admissible_set",
     "modular_derivative",
     "modular_wronskian",

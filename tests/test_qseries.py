@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vvmf import PrecisionError, PreconditionError, QSeries, add, divide_exact, make_series, mul, q_derivative
+from vvmf import PrecisionError, PreconditionError, QSeries, add, divide_exact, mul, q_derivative
 from vvmf.qseries import _numerators_at
 
 
@@ -46,7 +46,7 @@ def assert_ring_axioms(a, b, c):
 
 
 def test_leading_zero_absorption():
-    s = make_series(Fraction(1, 12), [0, 3], 1)
+    s = QSeries(Fraction(1, 12), [0, 3])
     assert s.beta == Fraction(13, 12)
     assert s.coeffs == (Fraction(3),)
     assert s.precision == 0
@@ -72,8 +72,6 @@ def test_construction_guards():
         QSeries(0, [])
     with pytest.raises(PreconditionError):
         QSeries(0.5, [1])
-    with pytest.raises(PreconditionError):
-        make_series(0, [1, 2], 3)
     for make in (QSeries.zero, QSeries.one):
         with pytest.raises(PreconditionError):
             make(-1)
