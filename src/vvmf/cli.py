@@ -19,7 +19,6 @@ from .classify import (
     RepInput,
     _cyclic_hp,
     classify_dim4,
-    classify_dim5,
     dim5_data,
     hp_dimension,
 )
@@ -228,7 +227,7 @@ def _cmd_classify(args) -> dict:
         return _classifier_doc(classify_dim4(rep), banner)
     data = dim5_data(rep)
     extra = {"N": data["N"], "k_N": data["k_N"], "n_N": data["n_N"]}
-    return _classifier_doc(classify_dim5(rep), banner, extra)
+    return _classifier_doc(HpSeries(data["k0"], data["offsets"]), banner, extra)
 
 
 def _cmd_hp(args) -> dict:

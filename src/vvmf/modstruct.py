@@ -17,10 +17,10 @@ from math import lcm as _lcm
 
 from . import linalg
 from .classify import (
+    HpSeries,
     RepInput,
     _cyclic_hp,
     classify_dim4,
-    classify_dim5,
     dim4_parity,
     dim5_data,
     hp_dimension,
@@ -309,7 +309,7 @@ def _script(rep: RepInput):
             shift, check = 1, _dim4_even
     elif rep.dimension == 5:
         data = dim5_data(rep)
-        h = classify_dim5(rep)
+        h = HpSeries(data["k0"], data["offsets"])
         shift, check = data["N"], _dim5
         header.update(N=shift, k_N=data["k_N"], n_N=data["n_N"])
     else:

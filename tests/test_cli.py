@@ -609,3 +609,22 @@ def test_console_script():
     )
     doc = json.loads(proc.stdout)
     assert doc["expansion"]["coeffs"] == ["1", "-24", "252", "-1472"]
+
+
+def test_dim5_twist_class_is_solved_once(monkeypatch, capsys):
+    calls = []
+    real = vvmf.classify.dim5_data
+
+    def spy(rep):
+        calls.append(rep)
+        return real(rep)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "vvmf" or name.startswith("vvmf.")) and getattr(mod, "dim5_data", None) is real:
+            monkeypatch.setattr(mod, "dim5_data", spy)
+    rc, out = run_cli(capsys, ["classify", "--dim", "5", "--r", "1/12,2/12,3/12,4/12,5/12", "--assert-t-determined"])
+    assert rc == 0 and json.loads(out)["N"] == 0
+    assert len(calls) == 1
+    rep = RepInput(5, tuple(Fraction(k, 12) for k in range(1, 6)), 1, MultiplierSpec(0, 0), t_determined_asserted=True)
+    dim5_structure(rep)
+    assert len(calls) == 2
