@@ -8,11 +8,7 @@ from .classify import (
     MultiplierSpec,
     RationalAngle,
     RepInput,
-    classify_dim1,
-    classify_dim2,
-    classify_dim3,
-    classify_dim4,
-    classify_dim5,
+    classification,
     dim4_parity,
     dim5_data,
     hp_dimension,

@@ -1,11 +1,13 @@
 """Multiplier arithmetic and the low-dimensional weight classification.
 
 Roots of unity are handled as exact rational angles.  For input data
-(T-eigenvalue angles, the sign of -I, a multiplier system) the classifiers
-produce the minimal weight and generator-weight offsets of the associated
-graded module, one routine per dimension 1 through 5.  Dimensions 1-3, the
-odd branch of dimension 4 and the twist class N = 0 of dimension 5 share one
-cyclic series: offsets 0 .. d-1 from weight 12*(lambda sum)/d + 1 - d.
+(T-eigenvalue angles, the sign of -I, a multiplier system) the one entry
+``classification`` produces the minimal weight and generator-weight offsets
+of the associated graded module in dimensions 1 through 5, with the branch
+data: the twist parity in dimension 4, the twist class N, its anchor weight
+k_N and grading shift n_N in dimension 5.  Dimensions 1-3, the odd branch of
+dimension 4 and the twist class N = 0 of dimension 5 share one cyclic
+series: offsets 0 .. d-1 from weight 12*(lambda sum)/d + 1 - d.
 """
 
 from __future__ import annotations
@@ -248,25 +250,6 @@ def _cyclic_hp(rep: RepInput) -> HpSeries:
     return HpSeries(12 * sum(rep.lambdas) / d + 1 - d, range(d))
 
 
-def classify_dim1(chi_power: int, multiplier: MultiplierSpec) -> HpSeries:
-    """One-dimensional case: everything is a multiple of an eta power."""
-    if not isinstance(chi_power, int) or not (0 <= chi_power <= 11):
-        raise PreconditionError("character power must be an integer in 0..11")
-    return _cyclic_hp(RepInput(1, [Fraction(chi_power, 12)], 1, multiplier))
-
-
-def classify_dim2(rep: RepInput) -> HpSeries:
-    if rep.dimension != 2:
-        raise PreconditionError("expected a two-dimensional input")
-    return _cyclic_hp(rep)
-
-
-def classify_dim3(rep: RepInput) -> HpSeries:
-    if rep.dimension != 3:
-        raise PreconditionError("expected a three-dimensional input")
-    return _cyclic_hp(rep)
-
-
 def dim4_parity(rep: RepInput) -> str:
     """Parity of the character twist, solved from the scalar at -I."""
     if rep.dimension != 4:
@@ -282,18 +265,6 @@ def dim4_parity(rep: RepInput) -> str:
     raise ParityUnsolvableError(
         "no integer twist parity matches the given sign and multiplier"
     )
-
-
-def classify_dim4(rep: RepInput) -> HpSeries:
-    if rep.dimension != 4:
-        raise PreconditionError("expected a four-dimensional input")
-    _require_t_determined(
-        rep,
-        "cyclic with offsets {0,1,2,3} at 3*lambda-3, or offsets {0,1,1,2} at 3*lambda-2",
-    )
-    if dim4_parity(rep) == "odd":
-        return _cyclic_hp(rep)
-    return HpSeries(3 * sum(rep.lambdas) - 2, (0, 1, 1, 2))
 
 
 _DIM5_SHIFTS = (0, 0, -2, -3, -4)
@@ -324,10 +295,23 @@ def dim5_data(rep: RepInput) -> dict:
         "n_N": _DIM5_SHIFTS[n],
         "k0": k_n + 2 * _DIM5_SHIFTS[n],
         "offsets": _DIM5_OFFSETS[n],
-        "lambda_sum": lam,
     }
 
 
-def classify_dim5(rep: RepInput) -> HpSeries:
-    data = dim5_data(rep)
-    return HpSeries(data["k0"], data["offsets"])
+def classification(rep: RepInput) -> tuple:
+    """(HpSeries, branch data) of rep, keyed as the structure reports print
+    them: {"parity"} in dimension 4, {"N", "k_N", "n_N"} in dimension 5 and
+    none below.  In dimension 4 the T-determined hypothesis is checked before
+    the parity."""
+    if rep.dimension < 4:
+        return _cyclic_hp(rep), {}
+    if rep.dimension == 5:
+        data = dim5_data(rep)
+        return HpSeries(data["k0"], data["offsets"]), {k: data[k] for k in ("N", "k_N", "n_N")}
+    _require_t_determined(
+        rep,
+        "cyclic with offsets {0,1,2,3} at 3*lambda-3, or offsets {0,1,1,2} at 3*lambda-2",
+    )
+    parity = dim4_parity(rep)
+    h = _cyclic_hp(rep) if parity == "odd" else HpSeries(3 * sum(rep.lambdas) - 2, (0, 1, 1, 2))
+    return h, {"parity": parity}

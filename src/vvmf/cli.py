@@ -13,15 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import forms, modstruct
-from .classify import (
-    HpSeries,
-    MultiplierSpec,
-    RepInput,
-    _cyclic_hp,
-    classify_dim4,
-    dim5_data,
-    hp_dimension,
-)
+from .classify import HpSeries, MultiplierSpec, RepInput, classification, hp_dimension
 from .deriv import VvmfVector
 from .errors import InternalCheckError, PreconditionError, UnsupportedInputError
 from .frobenius import solve_fundamental_system
@@ -199,35 +191,25 @@ def _cmd_wronskian(args) -> dict:
     }
 
 
-def _classifier_doc(h: HpSeries, banner=None, extra=None) -> dict:
+def _cmd_classify(args) -> dict:
+    m = _multiplier_from_args(args)
+    rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
+    h, branch = classification(rep)
     doc = {
         "k0": h.k0,
         "offsets": list(h.offsets),
         "numerator": h.numerator(),
         "dims": {h.k0 + 2 * kp: hp_dimension(h, h.k0 + 2 * kp) for kp in range(7)},
     }
-    if extra:
-        doc.update(extra)
-    if banner:
-        doc["assumption"] = banner
+    # the dimension 4 parity shows in the structure report only
+    doc.update((k, v) for k, v in branch.items() if k != "parity")
+    if args.dim >= 4:
+        doc["assumption"] = (
+            "T-determined: asserted by caller"
+            if rep.t_determined_asserted
+            else "T-determined: auto-set, no proper sub-multiset of angles sums to a multiple of 1/12"
+        )
     return doc
-
-
-def _cmd_classify(args) -> dict:
-    m = _multiplier_from_args(args)
-    rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
-    if args.dim < 4:
-        return _classifier_doc(_cyclic_hp(rep))
-    banner = (
-        "T-determined: asserted by caller"
-        if rep.t_determined_asserted
-        else "T-determined: auto-set, no proper sub-multiset of angles sums to a multiple of 1/12"
-    )
-    if args.dim == 4:
-        return _classifier_doc(classify_dim4(rep), banner)
-    data = dim5_data(rep)
-    extra = {"N": data["N"], "k_N": data["k_N"], "n_N": data["n_N"]}
-    return _classifier_doc(HpSeries(data["k0"], data["offsets"]), banner, extra)
 
 
 def _cmd_hp(args) -> dict:

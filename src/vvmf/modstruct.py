@@ -16,15 +16,7 @@ from fractions import Fraction
 from math import lcm as _lcm
 
 from . import linalg
-from .classify import (
-    HpSeries,
-    RepInput,
-    _cyclic_hp,
-    classify_dim4,
-    dim4_parity,
-    dim5_data,
-    hp_dimension,
-)
+from .classify import RepInput, classification, hp_dimension
 from .deriv import VvmfVector, _ladder, derivative_vector
 from .errors import DivisibilityError, PrecisionError, PreconditionError
 from .forms import delta, eisenstein, mspace_basis
@@ -301,20 +293,13 @@ def _script(rep: RepInput):
     """Classify rep, raising every refusal, and return the series part: n ->
     (report on n unit steps, graded ranks as (weight, rank, product count)),
     from the system shifted by 0 (cyclic), 1 (dimension 4 even) or N (dimension 5)."""
-    header, shift, check = {}, 0, _cyclic
-    if rep.dimension == 4:
-        h = classify_dim4(rep)
-        header["parity"] = dim4_parity(rep)
-        if header["parity"] == "even":
-            shift, check = 1, _dim4_even
-    elif rep.dimension == 5:
-        data = dim5_data(rep)
-        h = HpSeries(data["k0"], data["offsets"])
-        shift, check = data["N"], _dim5
-        header.update(N=shift, k_N=data["k_N"], n_N=data["n_N"])
-    else:
-        h = _cyclic_hp(rep)
-    header.update(k0=h.k0, offsets=h.offsets, numerator=h.numerator())
+    h, branch = classification(rep)
+    header = {**branch, "k0": h.k0, "offsets": h.offsets, "numerator": h.numerator()}
+    shift, check = 0, _cyclic
+    if "N" in branch:
+        shift, check = branch["N"], _dim5
+    elif branch.get("parity") == "even":
+        shift, check = 1, _dim4_even
     return lambda n: check(dict(header), h, n, _shifted_system(sorted(rep.lambdas), shift, n))
 
 

@@ -16,11 +16,7 @@ from vvmf import (
     ReducibilityBoundaryError,
     RepInput,
     TDeterminedRequiredError,
-    classify_dim1,
-    classify_dim2,
-    classify_dim3,
-    classify_dim4,
-    classify_dim5,
+    classification,
     dim4_parity,
     dim5_data,
     hp_dimension,
@@ -126,13 +122,17 @@ def test_rep_input_t_determined_flag():
     assert not neither.t_determined
 
 
+def dim1(c, m):
+    return RepInput(1, [F(c, 12)], 1, m)
+
+
 def test_classify_dim1():
-    assert classify_dim1(0, MultiplierSpec.trivial()) == HpSeries(0, (0,))
-    assert classify_dim1(6, MultiplierSpec.trivial()) == HpSeries(6, (0,))
+    assert classification(dim1(0, MultiplierSpec.trivial())) == (HpSeries(0, (0,)), {})
+    assert classification(dim1(6, MultiplierSpec.trivial())) == (HpSeries(6, (0,)), {})
     # a cusp parameter that pushes the exponent over 1 drops it back down
-    assert classify_dim1(6, MultiplierSpec(6, 0)) == HpSeries(0, (0,))
+    assert classification(dim1(6, MultiplierSpec(6, 0))) == (HpSeries(0, (0,)), {})
     with pytest.raises(PreconditionError):
-        classify_dim1(12, MultiplierSpec.trivial())
+        classification(dim1(12, MultiplierSpec.trivial()))
 
 
 def test_rep_input_refuses_a_dimension_one_angle_off_the_twelfths():
@@ -147,19 +147,15 @@ def test_classify_dim1_is_the_weight_of_the_eta_power(m):
     # k0 = 12 lambda, the weight of the eta power with exponent lambda
     for c in range(12):
         lams, _ = minimal_admissible_set([F(c, 12)], m.cusp_parameter)
-        assert classify_dim1(c, m) == HpSeries(12 * lams[0], (0,))
+        assert classification(dim1(c, m)) == (HpSeries(12 * lams[0], (0,)), {})
 
 
 def test_classify_dim2_dim3():
     triv = MultiplierSpec.trivial()
-    two = classify_dim2(RepInput(2, (F(1, 12), F(5, 12)), 1, triv, True))
-    assert two == HpSeries(2, (0, 1))
-    three = classify_dim3(RepInput(3, (0, F(1, 3), F(2, 3)), 1, triv, True))
-    assert three == HpSeries(2, (0, 1, 2))
-    with pytest.raises(PreconditionError):
-        classify_dim2(RepInput(3, (0, F(1, 3), F(2, 3)), 1, triv, True))
-    with pytest.raises(PreconditionError):
-        classify_dim3(RepInput(2, (F(1, 12), F(5, 12)), 1, triv, True))
+    two = classification(RepInput(2, (F(1, 12), F(5, 12)), 1, triv, True))
+    assert two == (HpSeries(2, (0, 1)), {})
+    three = classification(RepInput(3, (0, F(1, 3), F(2, 3)), 1, triv, True))
+    assert three == (HpSeries(2, (0, 1, 2)), {})
 
 
 def test_dim4_parity_and_classification():
@@ -167,10 +163,10 @@ def test_dim4_parity_and_classification():
     angles = (F(1, 24), F(5, 24), F(7, 24), F(11, 24))
     even = RepInput(4, angles, -1, triv, t_determined_asserted=True)
     assert dim4_parity(even) == "even"
-    assert classify_dim4(even) == HpSeries(1, (0, 1, 1, 2))
+    assert classification(even) == (HpSeries(1, (0, 1, 1, 2)), {"parity": "even"})
     odd = RepInput(4, angles, 1, triv, t_determined_asserted=True)
     assert dim4_parity(odd) == "odd"
-    assert classify_dim4(odd) == HpSeries(0, (0, 1, 2, 3))
+    assert classification(odd) == (HpSeries(0, (0, 1, 2, 3)), {"parity": "odd"})
 
 
 def test_dim4_parity_unsolvable():
@@ -180,11 +176,22 @@ def test_dim4_parity_unsolvable():
         dim4_parity(rep)
 
 
+def test_dim4_refuses_t_determination_before_parity():
+    # neither T-determined by the heuristic nor parity-solvable: the
+    # T-determined refusal comes first, and asserting it exposes the parity one
+    angles = (F(8, 21), F(11, 21), F(20, 21), F(17, 21))
+    m = MultiplierSpec(F(1, 3), 7)
+    with pytest.raises(TDeterminedRequiredError):
+        classification(RepInput(4, angles, 1, m))
+    with pytest.raises(ParityUnsolvableError):
+        classification(RepInput(4, angles, 1, m, t_determined_asserted=True))
+
+
 def test_dim4_requires_t_determined():
     angles = (F(1, 24), F(5, 24), F(7, 24), F(11, 24))
     rep = RepInput(4, angles, -1, MultiplierSpec.trivial())
     with pytest.raises(TDeterminedRequiredError) as exc:
-        classify_dim4(rep)
+        classification(rep)
     msg = str(exc.value)
     assert "{0,1,2,3}" in msg and "{0,1,1,2}" in msg
 
@@ -193,7 +200,7 @@ def test_dim5_requires_t_determined():
     triv = MultiplierSpec.trivial()
     rep = RepInput(5, tuple(F(n, 12) for n in range(1, 6)), 1, triv)
     with pytest.raises(TDeterminedRequiredError) as exc:
-        classify_dim5(rep)
+        classification(rep)
     assert "N=0..4" in str(exc.value)
 
 
@@ -215,7 +222,8 @@ def test_dim5_twist_classes():
         assert data["k_N"] == k_n
         assert data["n_N"] == n_n
         assert data["k0"] == k_n + 2 * n_n
-        h = classify_dim5(rep)
+        h, branch = classification(rep)
+        assert branch == {"N": n, "k_N": k_n, "n_N": n_n}
         assert h.k0 == data["k0"]
         assert h.numerator() == numerator
         # the table row N = 0 is the cyclic series

@@ -17,6 +17,8 @@ import vvmf
 from vvmf import MultiplierSpec, PreconditionError, RepInput, dim4_structure, dim5_structure, unique_operator
 from vvmf.cli import _MAX_CLI_DIGITS, _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, _jsonable, main
 
+from test_modstruct import seeded_cyclic_inputs, seeded_structure_inputs
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 DIM5_ARGS = [
@@ -513,6 +515,42 @@ def test_classify_dim4_requires_flag(capsys):
         "classify", "--dim", "4", "--r", "1/24,5/24,7/24,11/24", "--epsilon", "-1",
     ])
     assert rc == 2
+
+
+# neither T-determined by the heuristic nor parity-solvable
+REFUSED_DIM4 = ["--dim", "4", "--r", "8/21,11/21,20/21,17/21", "--eta-weight", "1/3", "--chi", "7"]
+T_DETERMINED_REFUSAL = (
+    "precondition violated: classification in dimension 4 needs the T-determined hypothesis; "
+    "without it the structure is one of: cyclic with offsets {0,1,2,3} at 3*lambda-3, or "
+    "offsets {0,1,1,2} at 3*lambda-2. Re-run with the flag asserted if the representation "
+    "is known to be T-determined.\n"
+)
+PARITY_REFUSAL = "precondition violated: no integer twist parity matches the given sign and multiplier\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify-structure"])
+@pytest.mark.parametrize("flags,refusal", [([], T_DETERMINED_REFUSAL), (["--assert-t-determined"], PARITY_REFUSAL)])
+def test_dim4_refuses_t_determination_before_parity(capsys, monkeypatch, command, flags, refusal):
+    monkeypatch.setattr(vvmf.modstruct, "solve_fundamental_system", refuse)
+    assert main([command] + REFUSED_DIM4 + flags) == 2
+    assert capsys.readouterr() == ("", refusal)
+
+
+def rep_argv(command, rep):
+    m = rep.multiplier
+    argv = [command, "--dim", str(rep.dimension), "--r", ",".join(str(x) for x in rep.exponents),
+            "--eta-weight", str(m.eta_weight), "--chi", str(m.chi_power), "--epsilon", str(rep.epsilon)]
+    return argv + ["--assert-t-determined"] * rep.t_determined_asserted
+
+
+@pytest.mark.parametrize("rep", seeded_cyclic_inputs(20) + seeded_structure_inputs(20))
+def test_classify_and_verify_structure_read_one_classification(capsys, rep):
+    classified = run_json(capsys, rep_argv("classify", rep))
+    verified = run_json(capsys, rep_argv("verify-structure", rep))
+    shared = ["k0", "offsets", "numerator"] + ["N", "k_N", "n_N"] * (rep.dimension == 5)
+    assert {k: classified[k] for k in shared} == {k: verified[k] for k in shared}
+    # the dimension 4 parity is a structure report field only
+    assert "parity" not in classified and ("parity" in verified) == (rep.dimension == 4)
 
 
 def test_classify_bad_rational(capsys):

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from vvmf import deriv, linalg, modstruct
+from vvmf import classify, deriv, linalg, modstruct
 from vvmf import (
     DivisibilityError,
     InternalCheckError,
@@ -20,8 +20,7 @@ from vvmf import (
     TDeterminedRequiredError,
     VvmfVector,
     appendix_demo,
-    classify_dim4,
-    classify_dim5,
+    classification,
     cyclic_structure,
     d_iterate_generators,
     delta,
@@ -395,7 +394,7 @@ def seeded_structure_inputs(count):
         m = MultiplierSpec(rng.choice((0, 2)), rng.randrange(12))
         try:
             rep = RepInput(d, r, rng.choice((1, -1)), m, rng.random() < 0.5)
-            (classify_dim4 if d == 4 else classify_dim5)(rep)
+            classification(rep)
         except PreconditionError:
             continue
         out.append(rep)
@@ -481,8 +480,7 @@ def test_cyclic_structure_holds_in_dimensions_one_to_three(monkeypatch):
 def test_cyclic_structure_needs_dimension_below_four(monkeypatch):
     # the dimension refusal comes before any classification or solve
     calls = count_solves(monkeypatch)
-    for name in ("_cyclic_hp", "classify_dim4", "dim4_parity"):
-        monkeypatch.setattr(modstruct, name, lambda rep: calls.append(rep))
+    monkeypatch.setattr(modstruct, "classification", lambda rep: calls.append(rep))
     with pytest.raises(PreconditionError, match="dimension 1, 2 or 3"):
         cyclic_structure(ODD_DIM4)
     assert calls == []
@@ -493,13 +491,13 @@ def test_structure_classification_refusals_run_once(monkeypatch):
     # before any series is solved
     rep = RepInput(5, tuple(F(x, 12) for x in (1, 2, 3, 4, 6)), 1, TRIV)
     classified = []
-    real = modstruct.dim5_data
+    real = classify.dim5_data
 
     def spy(rep):
         classified.append(rep)
         return real(rep)
 
-    monkeypatch.setattr(modstruct, "dim5_data", spy)
+    monkeypatch.setattr(classify, "dim5_data", spy)
     calls = count_solves(monkeypatch)
     with pytest.raises(TDeterminedRequiredError):
         dim5_structure(rep, 30)

@@ -30,11 +30,7 @@ PUBLIC = [
     "appendix_demo",
     "appendix_family",
     "apply",
-    "classify_dim1",
-    "classify_dim2",
-    "classify_dim3",
-    "classify_dim4",
-    "classify_dim5",
+    "classification",
     "cyclic_structure",
     "d_iterate_generators",
     "delta",
