@@ -52,7 +52,7 @@ from .modstruct import (
     weight_space_dimension,
 )
 from .qseries import QSeries, add, divide_exact, mul, q_derivative
-from .wronskian import modular_wronskian, weight_lower_bound, wronskian_factorization
+from .wronskian import modular_wronskian, wronskian_factorization
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kernel import convolve
+from ._kernel import _weighted, convolve
 from .errors import PrecisionError, PreconditionError
 
 _ZERO = Fraction(0)
@@ -92,13 +92,20 @@ def _series(beta: Fraction, nums, scale: int) -> "QSeries":
     if lead:
         beta = beta + lead
         nums = nums[lead:]
+    nums, scale = _content_free(nums, scale)
+    return _raw(beta, tuple(nums), scale)
+
+
+def _content_free(nums, scale: int) -> tuple:
+    """nums and scale divided by the gcd of scale and nums, made positive on
+    the scale; leading zeros stay, so the pair keeps its exponent."""
     g = gcd(scale, *nums)
     if scale < 0:
         g = -g
     if g != 1:
         nums = [x // g for x in nums]
         scale //= g
-    return _raw(beta, tuple(nums), scale)
+    return nums, scale
 
 
 def _sum(n: int, terms) -> tuple:
@@ -150,6 +157,17 @@ def _theta(beta: Fraction, f) -> tuple:
     p, q = beta.numerator, beta.denominator
     nums, scale = f
     return [x * (p + q * t) for t, x in enumerate(nums)], scale * q
+
+
+def _theta_minor(n: int, beta_a: Fraction, a, beta_b: Fraction, b) -> tuple:
+    """The pair of f_a theta(f_b) - f_b theta(f_a) through step n, on the
+    exponent beta_a + beta_b, for the pairs a and b of f_a = q^beta_a * sum_i
+    (a_i / S_a) q^i and f_b: with beta = p/q, step i of theta(f) carries
+    (p + q i) / q, so the pair (i, j) carries (p_b q_a - p_a q_b + q_a q_b (j - i))
+    / (q_a q_b).  No content pass."""
+    pa, qa = beta_a.numerator, beta_a.denominator
+    pb, qb = beta_b.numerator, beta_b.denominator
+    return _weighted(a[0], b[0], pb * qa - pa * qb, qa * qb, n + 1), a[1] * b[1] * qa * qb
 
 
 def _pair(s: "QSeries") -> tuple:

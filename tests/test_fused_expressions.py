@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 from test_qseries import rationals, raw_series
 
 import vvmf._kernel
+import vvmf.deriv
 import vvmf.qseries
+import vvmf.wronskian
 from vvmf import (
+    InternalCheckError,
     PrecisionError,
     QSeries,
     VvmfVector,
@@ -231,6 +234,63 @@ def test_wronskian_rows_with_zero_entries_match_pairwise():
         degenerate = VvmfVector(4, cols, (0,) * len(cols))
         assert modular_wronskian(degenerate).is_zero
         assert modular_wronskian(degenerate) == pairwise_wronskian(degenerate)
+
+
+def route_cases():
+    """(vector, takes the theta-row route) for each kind of input the route test covers."""
+    e4, n = eisenstein(4, N), 12
+    fifth = QSeries(Fraction(1, 5), range(1, N + 2))
+    solved = [solve_fundamental_system(unique_operator(roots), n) for roots in (
+        [Fraction(1, 12), Fraction(5, 12)],
+        [Fraction(1, 24), Fraction(5, 24), Fraction(7, 24), Fraction(11, 24), Fraction(13, 24), Fraction(19, 24)],
+        [Fraction(1, 12), Fraction(1, 4)],
+    )]
+    return [
+        (VvmfVector(1, [eta_power(2, N)], (Fraction(1, 12),)), True),
+        (solved[0], True),
+        (solved[1], True),
+        (solved[1].times_form(eisenstein(4, n), 4), True),
+        # beta = 0, and beta_b = beta_a + 1: the theta-shifted rows of E_4
+        # start a step late, on the exponent of Delta
+        (VvmfVector(4, [e4, delta(N), fifth], (0, 0, Fraction(1, 5))), True),
+        # a constant component: every theta shift of it is zero
+        (VvmfVector(4, [QSeries.one(N), delta(N), fifth], (0, 0, Fraction(1, 5))), True),
+        # D_1 kills the eta^2 component: the ladder keeps its shorter window
+        (solved[2], False),
+        # repeated leading exponents, dependent columns, a zero column
+        (VvmfVector(4, [e4, e4 + delta(N)], (0, 0)), False),
+        (VvmfVector(4, [e4, 2 * e4, delta(N)], (0, 0, 0)), False),
+        (VvmfVector(4, [fifth, QSeries.zero(N)], (Fraction(1, 5), 0)), False),
+    ]
+
+
+def test_each_wronskian_route_matches_pairwise(monkeypatch):
+    calls = {"modular_derivative": 0, "_ladder_wronskian": 0}
+    for mod, name in ((vvmf.deriv, "modular_derivative"), (vvmf.wronskian, "_ladder_wronskian")):
+        def counting(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    for F, theta_route in route_cases():
+        want = pairwise_wronskian(F)
+        for key in calls:
+            calls[key] = 0
+        assert modular_wronskian(F) == want
+        # the theta rows need no derivative ladder
+        if theta_route:
+            assert calls == {"modular_derivative": 0, "_ladder_wronskian": 0}
+        else:
+            assert calls == {"modular_derivative": F.d * (F.d - 1), "_ladder_wronskian": 1}
+
+
+def test_theta_route_refuses_a_result_off_its_natural_window(monkeypatch):
+    # a 2 x 2 minor computed one step past the window must not come back
+    real = vvmf.wronskian._theta_minor
+    monkeypatch.setattr(vvmf.wronskian, "_theta_minor", lambda n, *args: real(n + 1, *args))
+    F = solve_fundamental_system(unique_operator([Fraction(1, 12), Fraction(5, 12)]), 12)
+    with pytest.raises(InternalCheckError, match="window"):
+        modular_wronskian(F)
 
 
 OPERATORS = [

@@ -1,4 +1,4 @@
-"""The integer convolution kernel against known products and a naive double sum."""
+"""The integer convolution kernel and its weighted product against naive double sums."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf._kernel
-from vvmf._kernel import _SPLIT_SIZE, _split, convolve
+from vvmf._kernel import _SPLIT_SIZE, _split, _weighted, convolve
 from vvmf.qseries import QSeries, mul
 
 
@@ -94,6 +94,62 @@ operands = st.one_of(st.lists(integers, max_size=40), graded_lists)
 def test_matches_double_sum_on_graded_and_plain_operands(a, b, n_out):
     assert convolve(a, b, n_out) == double_sum(a, b, n_out)
     assert _split(a, b, n_out) == double_sum(a, b, n_out)
+
+
+def weighted_sum(a, b, c, r, n_out):
+    """w[t] = sum a[i]*b[j]*(c + r*(j - i)) over every pair with i + j = t, for t < n_out."""
+    return [
+        sum(a[i] * b[t - i] * (c + r * (t - 2 * i)) for i in range(len(a)) if 0 <= t - i < len(b))
+        for t in range(n_out)
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(operands, operands, st.integers(-(10**6), 10**6), st.integers(-(10**4), 10**4), st.integers(0, 90))
+def test_weighted_matches_double_sum_on_graded_and_plain_operands(a, b, c, r, n_out):
+    want = weighted_sum(a, b, c, r, n_out)
+    assert _weighted(a, b, c, r, n_out) == want
+    assert _split(a, b, n_out, (c, r)) == want
+
+
+def test_weighted_is_the_antisymmetric_product():
+    # swapping the operands negates the weight of every pair
+    a, b = wide(20, 1200, 6), wide(20, 1200, 7)
+    assert _weighted(b, a, 5, 3, 20) == [-x for x in _weighted(a, b, -5, 3, 20)]
+    # r = 0 scales the convolution, and c = 0, r = 1 is a*theta(b) - b*theta(a) on integer exponents
+    assert _weighted(a, b, 7, 0, 20) == [7 * x for x in convolve(a, b, 20)]
+    ta, tb = [t * x for t, x in enumerate(a)], [t * x for t, x in enumerate(b)]
+    assert _weighted(a, b, 0, 1, 20) == [x - y for x, y in zip(convolve(a, tb, 20), convolve(b, ta, 20))]
+
+
+def test_weighted_edges_and_both_sides_of_the_threshold():
+    big = wide(20, 1200, 1)
+    small = wide(20, 64, 2)
+    assert splits(big, big, 20) and not splits(small, small, 20)
+    cases = [
+        (big, big, 20),
+        (small, small, 20),
+        (small, big, 20),
+        # a low block that is all zero: its gcd is 0
+        ([0] * 10 + big[10:], big, 20),
+        # zeros inside both blocks, and negative entries
+        ([x if t % 3 else 0 for t, x in enumerate(big)], [-x for x in big], 20),
+        # one operand shorter than the split point h = 10
+        (big[:4], big, 20),
+        (big, big[:1], 20),
+        # n_out of 0, and past len(a) + len(b) - 1
+        (big, big, 0),
+        (big, big[:7], 40),
+        (big[:3], big[:5], 12),
+        ([], big, 5),
+        (big, [], 5),
+    ]
+    for a, b, n_out in cases:
+        for c, r in ((0, 1), (-7, 12), (12345, -60), (3, 0)):
+            want = weighted_sum(a, b, c, r, n_out)
+            assert _split(a, b, n_out, (c, r)) == want
+            assert _weighted(a, b, c, r, n_out) == want
+    assert _weighted(big, big, 1, 1, -1) == _split(big, big, -1, (1, 1)) == []
 
 
 def test_split_edges():

@@ -62,7 +62,6 @@ PUBLIC = [
     "theta_form",
     "unique_operator",
     "vector_rank",
-    "weight_lower_bound",
     "weight_space_dimension",
     "wronskian_factorization",
 ]

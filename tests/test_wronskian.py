@@ -21,7 +21,6 @@ from vvmf import (
     mul,
     solve_fundamental_system,
     unique_operator,
-    weight_lower_bound,
     wronskian_factorization,
 )
 
@@ -68,27 +67,17 @@ def test_non_fundamental_vector_leaves_positive_weight():
     assert (g - Fraction(1, 3) * mul(e4, e4)).is_zero
 
 
-def test_weight_lower_bound():
-    assert weight_lower_bound(2, Fraction(1, 2), 0) == 2
-    assert weight_lower_bound(5, Fraction(5, 2), 1) == Fraction(22, 5)
-    assert weight_lower_bound(1, 1, 0) == 12
+@pytest.mark.parametrize("weight", [0.1, "1e5"])
+def test_vector_weight_refuses_inexact_rationals(weight):
     with pytest.raises(PreconditionError):
-        weight_lower_bound(0, 1, 0)
-    with pytest.raises(PreconditionError):
-        weight_lower_bound(2, 1, -1)
+        VvmfVector(weight, [QSeries.one(4)], (0,))
+    assert VvmfVector("1/10", [QSeries.one(4)], (0,)).weight == Fraction(1, 10)
 
 
-@pytest.mark.parametrize("lam", [0.1, "1e5"])
-def test_weight_lower_bound_refuses_inexact_rationals(lam):
-    with pytest.raises(PreconditionError):
-        weight_lower_bound(2, lam, 0)
-    assert weight_lower_bound(2, "1/10", 0) == Fraction(-2, 5)
-
-
-@pytest.mark.parametrize("lam", ["abc", "1/0", "1/2/3", ""])
-def test_weight_lower_bound_refuses_malformed_rational_text(lam):
+@pytest.mark.parametrize("weight", ["abc", "1/0", "1/2/3", ""])
+def test_vector_weight_refuses_malformed_rational_text(weight):
     with pytest.raises(PreconditionError, match="cannot parse rational"):
-        weight_lower_bound(2, lam, 0)
+        VvmfVector(weight, [QSeries.one(4)], (0,))
 
 
 def test_wronskian_precision_guard():
