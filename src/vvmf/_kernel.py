@@ -24,7 +24,10 @@ sum of a[i]*b[j]*(c + r*(j - i)) over i + j = t: for series f_a, f_b on the
 exponents p_a/q_a and p_b/q_b it is f_a*theta(f_b) - f_b*theta(f_a) with
 c = p_b*q_a - p_a*q_b and r = q_a*q_b, the 2 x 2 minor of the Wronskian's
 theta rows, at one big product per pair where the difference of two
-convolves takes two.  The weight is a small integer, so multiplying by it
+convolves takes two.  It also multiplies the larger minors: on the minors
+of two overlapping runs of consecutive columns, at their exponent sums, it
+gives the minor of their union times the minor of their overlap
+(Desnanot-Jacobi), so every big product of the Wronskian runs here.  The weight is a small integer, so multiplying by it
 is linear in the bits.  The split carries over unchanged: a block that
 starts at index h sees the weight of its absolute indices, c + r*h in the
 low x high block and c - r*h in the high x low one, and the gcds factor out

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._kernel import _weighted, convolve
-from .errors import PrecisionError, PreconditionError
+from .errors import InternalCheckError, PrecisionError, PreconditionError
 
 _ZERO = Fraction(0)
 
@@ -168,6 +168,37 @@ def _theta_minor(n: int, beta_a: Fraction, a, beta_b: Fraction, b) -> tuple:
     pa, qa = beta_a.numerator, beta_a.denominator
     pb, qb = beta_b.numerator, beta_b.denominator
     return _weighted(a[0], b[0], pb * qa - pa * qb, qa * qb, n + 1), a[1] * b[1] * qa * qb
+
+
+def _quotient(P, C) -> tuple:
+    """The pair of the series quotient P / C of the pairs P = (nums, sp) and C
+    = (nums, sc), through the shorter operand; both start at their steps 0,
+    whose entry in C must be nonzero.
+
+    With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
+    (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
+    C_(t-u) over M sp C_0.  As in the Frobenius recursion, each step takes only
+    the part of sp C_0 that the new numerator does not cancel, so from M = 1
+    the pair (A, M) keeps content 1 and M > 0: M is the lcm of the reduced
+    coefficient denominators."""
+    (pn, sp), (cn, sc) = P, C
+    if not cn[0]:
+        raise InternalCheckError("exact quotient by a series whose leading entry is zero")
+    lead = sp * cn[0]
+    nums, m = [], 1
+    for t in range(min(len(pn), len(cn))):
+        acc = pn[t] * m * sc
+        if t:
+            acc -= sp * sum([a * c for a, c in zip(nums, cn[t:0:-1]) if a])
+        g = gcd(acc, lead)
+        if lead < 0:
+            g = -g
+        den = lead // g
+        if den != 1:
+            nums = [a * den for a in nums]
+            m *= den
+        nums.append(acc // g)
+    return nums, m
 
 
 def _pair(s: "QSeries") -> tuple:
@@ -387,25 +418,8 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             f"requested precision {precision} exceeds joint precision "
             f"{min(len(ia), len(ib)) - 1}"
         )
-    # Fraction-free: with a_t = A_t / sa and b_t = B_t / sb, X_t = s_t sa / sb
-    # solves sum_u X_u B_(t-u) = A_t.  Before step t, ys[u] = X_u B_0^t, so
-    # X_t B_0^(t+1) = A_t B_0^t - sum_u ys[u] B_(t-u) is an integer; then
-    # every entry takes one more factor B_0.  At the end
-    # s_u = ys[u] sb / (sa B_0^(precision+1)).
-    b0 = ib[0]
-    ys = []
-    pw = 1
-    for t in range(precision + 1):
-        acc = ia[t] * pw
-        for u, y in enumerate(ys):
-            if y:
-                acc -= y * ib[t - u]
-        if b0 != 1:
-            ys = [y * b0 for y in ys]
-            pw *= b0
-        ys.append(acc)
-    sb = b.scale
-    return _series(a.beta - b.beta, [y * sb for y in ys], a.scale * b0 ** (precision + 1))
+    nums, scale = _quotient((ia[: precision + 1], a.scale), (ib[: precision + 1], b.scale))
+    return _series(a.beta - b.beta, nums, scale)
 
 
 def q_derivative(a: QSeries) -> QSeries:

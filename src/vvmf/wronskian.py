@@ -7,18 +7,24 @@ that does not vanish at the cusp.
 
 Theta rows.  With theta = q d/dq, D^i = theta^i + sum_{l<i} c_il(q) theta^l,
 and the c_il depend only on the weight, which every column shares.  So row
-operations turn det[D^i f_j] into W_theta(f) = det[theta^i f_j].  Along its
-first two rows it expands (Laplace) as
+operations turn det[D^i f_j] into W_theta(f) = det[theta^i f_j].  Write
+W_ij for W_theta(f_i, ..., f_j).  Dodgson's condensation, the Wronskian
+form of the Desnanot-Jacobi identity, gives
 
-    W_theta(f_U) = sum_{p<r} (-1)^(1+p+r) W_theta(f_up, f_ur) W_theta(theta^2 f_(U - {up, ur})),
+    W_ij W_(i+1)(j-1) = W_(i,j-1) theta(W_(i+1)j) - W_(i+1)j theta(W_(i,j-1)),
 
-and each 2 x 2 minor f_a theta(f_b) - f_b theta(f_a) is one weighted kernel
-product (``qseries._theta_minor``).  Every minor is kept on its whole
-window, from the exponent sum of its columns through n steps with leading
-zeros kept, so each product is exact there and the determinant comes out on
-the natural window [sum beta_j, sum beta_j + n], which is checked.  At
-d = 3, 4, 5 that is 6, 18, 60 big products, against 9, 28, 75 and a
-derivative ladder for the expansion of the derivative rows.
+so each consecutive interval of columns is one weighted kernel product
+(``qseries._theta_minor``) of the two intervals one size down, divided
+exactly (``qseries._quotient``) by the interval two sizes down inside it.
+Run level by level, that is d(d - 1)/2 big products and (d - 1)(d - 2)/2
+quotients: 3, 6, 10, 15 products at d = 3, 4, 5, 6, against 6, 18, 60, 150
+for the Laplace expansion along row pairs.  The divisor is nonzero at its
+exponent sum: theta^i f_j leads with c_j beta_j^i, so W_theta of an interval
+leads with prod c_j times the Vandermonde product of its beta_j, and on
+_generic input the c_j are nonzero and the beta_j distinct.  Every interval is kept on its whole window, from
+the exponent sum of its columns through n steps with leading zeros kept, so
+each product and quotient is exact there and the determinant comes out on
+the natural window [sum beta_j, sum beta_j + n], which is checked.
 
 Which route.  On _generic input (nonzero components with distinct
 exponents, none killed by D within d - 1 steps) the derivative-row
@@ -37,7 +43,7 @@ from math import prod
 from .deriv import VvmfVector, _ladder
 from .errors import FactorizationError, InternalCheckError, PrecisionError, PreconditionError
 from .forms import eta_power
-from .qseries import QSeries, _content_free, _lincomb, _pair, _series, _sum, _theta, _theta_minor, mul
+from .qseries import QSeries, _content_free, _lincomb, _pair, _quotient, _series, _theta_minor, mul
 
 _PRECISION_MARGIN = 2
 
@@ -52,27 +58,20 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
     if not _generic(F):  # temporary fork, see _ladder_wronskian
         return _ladder_wronskian(F)
     n, comps = F.precision, F.components
-    cols = range(d)
-    # minors[U] is the pair of W_theta(theta^s f_U) through step n, on the
-    # exponent sum of U with leading zeros kept, for every |U| = d - s; the
-    # shift s falls by 2 from the top, where |U| is 1 or 2
-    for s in range(d - 1 - (d - 1) % 2, -1, -2):
-        shifted = [_pair(f) for f in comps]
-        for _ in range(s):
-            shifted = [_theta(f.beta, g) for f, g in zip(comps, shifted)]
-        if d - s == 1:
-            minors = {(j,): shifted[j] for j in cols}
-            continue
-        pairs = {(a, b): _content_free(*_theta_minor(n, comps[a].beta, shifted[a], comps[b].beta, shifted[b]))
-                 for a, b in combinations(cols, 2)}
-        # Laplace along the first two rows: the 2 x 2 minor on the columns
-        # p < r of U times the theta^2-shifted minor on the rest of U
-        minors = pairs if d - s == 2 else {
-            U: _content_free(*_sum(n, [((-1) ** (1 + p + r), pairs[U[p], U[r]], minors[U[:p] + U[p + 1 : r] + U[r + 1 :]], 0)
-                                      for p, r in combinations(range(d - s), 2)]))
-            for U in combinations(cols, d - s)}
-    exponent = sum((f.beta for f in comps), Fraction(0))
-    det = _series(exponent, *minors[tuple(cols)])
+    # level m holds the pair of W_theta(f_i .. f_(i+m-1)) through step n for
+    # each i, on the exponent sum of its columns with leading zeros kept;
+    # sums[i] is that exponent sum, and prev2 is the level m - 2
+    prev2, prev = None, [_pair(f) for f in comps]
+    sums = [f.beta for f in comps]
+    for m in range(2, d + 1):
+        cur = [_theta_minor(n, sums[i], prev[i], sums[i + 1], prev[i + 1]) for i in range(d + 1 - m)]
+        # Desnanot-Jacobi: the minor of the two intervals one size down is
+        # the interval times the one two sizes down, inside it
+        cur = [_quotient(P, prev2[i + 1]) for i, P in enumerate(cur)] if m > 2 else [_content_free(*P) for P in cur]
+        sums = [sums[i] + comps[i + m - 1].beta for i in range(d + 1 - m)]
+        prev2, prev = prev, cur
+    exponent = sums[0]
+    det = _series(exponent, *prev[0])
     # on _generic input the leading coefficient, prod c_j times the
     # Vandermonde product of the beta_j, is nonzero
     if (det.beta, det.precision) != (exponent, n):

@@ -284,13 +284,40 @@ def test_each_wronskian_route_matches_pairwise(monkeypatch):
             assert calls == {"modular_derivative": F.d * (F.d - 1), "_ladder_wronskian": 1}
 
 
-def test_theta_route_refuses_a_result_off_its_natural_window(monkeypatch):
-    # a 2 x 2 minor computed one step past the window must not come back
-    real = vvmf.wronskian._theta_minor
-    monkeypatch.setattr(vvmf.wronskian, "_theta_minor", lambda n, *args: real(n + 1, *args))
-    F = solve_fundamental_system(unique_operator([Fraction(1, 12), Fraction(5, 12)]), 12)
-    with pytest.raises(InternalCheckError, match="window"):
+def test_theta_route_condenses_consecutive_intervals(monkeypatch):
+    # one theta minor per interval of two or more columns, one exact quotient
+    # per interval of three or more, and no plain series product
+    calls = {"_theta_minor": 0, "_quotient": 0, "convolve": 0}
+    for mod, name in ((vvmf.wronskian, "_theta_minor"), (vvmf.wronskian, "_quotient"), (vvmf.qseries, "convolve")):
+        def counting(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    roots = [Fraction(1, 7), Fraction(3, 11), Fraction(5, 13), Fraction(17, 19), Fraction(1, 23)]
+    systems = [solve_fundamental_system(unique_operator(roots[:d]), 12) for d in range(2, 6)]
+    systems += [F for F, theta_route in route_cases() if theta_route]
+    assert sorted({F.d for F in systems}) == [1, 2, 3, 4, 5, 6]
+    for F in systems:
+        assert vvmf.wronskian._generic(F)
+        for key in calls:
+            calls[key] = 0
         modular_wronskian(F)
+        d = F.d
+        assert calls == {"_theta_minor": d * (d - 1) // 2, "_quotient": (d - 1) * (d - 2) // 2, "convolve": 0}
+
+
+def test_theta_route_refuses_a_result_off_its_natural_window(monkeypatch):
+    # at d = 2 the determinant is one theta minor, so a minor computed one
+    # step past the window must not come back; at d = 3 a minor one step
+    # short makes the quotient, and so the determinant, one step short
+    real = vvmf.wronskian._theta_minor
+    for d, shift in ((2, 1), (3, -1)):
+        monkeypatch.setattr(vvmf.wronskian, "_theta_minor", lambda n, *args, _s=shift: real(n + _s, *args))
+        roots = [Fraction(1, 12), Fraction(5, 12), Fraction(2, 3)][:d]
+        F = solve_fundamental_system(unique_operator(roots), 12)
+        with pytest.raises(InternalCheckError, match="window"):
+            modular_wronskian(F)
 
 
 OPERATORS = [

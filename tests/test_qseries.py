@@ -10,8 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vvmf import PrecisionError, PreconditionError, QSeries, add, divide_exact, mul, q_derivative
-from vvmf.qseries import _numerators_at
+from test_kernel import operands
+
+from vvmf import InternalCheckError, PrecisionError, PreconditionError, QSeries, add, divide_exact, eisenstein, mul, q_derivative
+from vvmf._kernel import convolve
+from vvmf.qseries import _ZERO, _numerators_at, _quotient, _series
 
 
 def rand_series(rng, zero_ok=True):
@@ -170,6 +173,36 @@ def test_divide_guards():
         divide_exact(s, QSeries.zero(3), 2)
     with pytest.raises(PrecisionError):
         divide_exact(s, QSeries(0, [1, 1]), 2)
+
+
+def test_divide_exact_by_a_leading_entry_other_than_one():
+    # 3 E_4 and -(2/3) + 5q + 7q^2 lead with numerators 3 and -2
+    e4 = eisenstein(4, 20)
+    for g in (3 * e4, QSeries(0, [Fraction(-2, 3), 5, 7]), QSeries(Fraction(1, 3), [Fraction(5, 7), 0, -1, Fraction(1, 11)])):
+        f = QSeries(Fraction(2, 3), [Fraction(t + 1, 2 * t + 3) for t in range(21)])
+        n = min(f.precision, g.precision)
+        assert divide_exact(mul(f, g), g, n) == f.truncated(n)
+    assert divide_exact(e4, 3 * e4, 20) == QSeries(0, [Fraction(1, 3)] + [0] * 20)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(operands, operands, st.integers(1, 2**70), st.integers(1, 2**70))
+def test_quotient_inverts_a_kernel_product(q, c, sq, sc):
+    # P = C * Q through the length of Q, on plain and graded integer lists
+    assume(q and c and c[0])
+    P = (convolve(c, q, len(q)), sc * sq)
+    nums, m = _quotient(P, (c, sc))
+    # the window of the shorter operand, and the pair is already canonical
+    n = min(len(q), len(c))
+    assert len(nums) == n
+    assert m > 0 and gcd(m, *nums) == 1
+    assert _series(_ZERO, nums, m) == _series(_ZERO, q[:n], sq)
+
+
+def test_quotient_refuses_a_zero_leading_entry():
+    with pytest.raises(InternalCheckError, match="leading entry"):
+        _quotient(([1, 2, 3], 1), ([0, 1, 1], 1))
+    assert _quotient(([4, 2], 6), ([-2, 1], 3)) == ([-1, -1], 1)
 
 
 def test_q_derivative_termwise():
