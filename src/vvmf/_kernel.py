@@ -27,11 +27,12 @@ theta rows, at one big product per pair where the difference of two
 convolves takes two.  It also multiplies the larger minors: on the minors
 of two overlapping runs of consecutive columns, at their exponent sums, it
 gives the minor of their union times the minor of their overlap
-(Desnanot-Jacobi), so every big product of the Wronskian runs here.  The weight is a small integer, so multiplying by it
-is linear in the bits.  The split carries over unchanged: a block that
-starts at index h sees the weight of its absolute indices, c + r*h in the
-low x high block and c - r*h in the high x low one, and the gcds factor out
-of every term.  So the weighted product is exact on any input too.
+(Desnanot-Jacobi), so every big product of the Wronskian runs here.  The
+weight is a small integer, so multiplying by it is linear in the bits.  The
+split carries over unchanged: a block that starts at index h sees the
+weight of its absolute indices, c + r*h in the low x high block and
+c - r*h in the high x low one, and the gcds factor out of every term.  So
+the weighted product is exact on any input too.
 """
 
 from math import gcd

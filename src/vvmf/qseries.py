@@ -171,9 +171,10 @@ def _theta_minor(n: int, beta_a: Fraction, a, beta_b: Fraction, b) -> tuple:
 
 
 def _quotient(P, C) -> tuple:
-    """The pair of the series quotient P / C of the pairs P = (nums, sp) and C
-    = (nums, sc), through the shorter operand; both start at their steps 0,
-    whose entry in C must be nonzero.
+    """The pair of the series quotient P / C of the pairs P = (nums, sp) and
+    C = (nums, sc), through the shorter operand.  Both start at their own
+    exponents, so C's entry at step 0 must be nonzero, or InternalCheckError
+    is raised.
 
     With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
     (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
@@ -187,9 +188,7 @@ def _quotient(P, C) -> tuple:
     lead = sp * cn[0]
     nums, m = [], 1
     for t in range(min(len(pn), len(cn))):
-        acc = pn[t] * m * sc
-        if t:
-            acc -= sp * sum([a * c for a, c in zip(nums, cn[t:0:-1]) if a])
+        acc = pn[t] * m * sc - sp * sum([a * c for a, c in zip(nums, cn[t:0:-1]) if a])
         g = gcd(acc, lead)
         if lead < 0:
             g = -g
@@ -418,8 +417,7 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             f"requested precision {precision} exceeds joint precision "
             f"{min(len(ia), len(ib)) - 1}"
         )
-    nums, scale = _quotient((ia[: precision + 1], a.scale), (ib[: precision + 1], b.scale))
-    return _series(a.beta - b.beta, nums, scale)
+    return _series(a.beta - b.beta, *_quotient((ia[: precision + 1], a.scale), (ib[: precision + 1], b.scale)))
 
 
 def q_derivative(a: QSeries) -> QSeries:

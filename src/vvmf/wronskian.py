@@ -8,8 +8,9 @@ that does not vanish at the cusp.
 Theta rows.  With theta = q d/dq, D^i = theta^i + sum_{l<i} c_il(q) theta^l,
 and the c_il depend only on the weight, which every column shares.  So row
 operations turn det[D^i f_j] into W_theta(f) = det[theta^i f_j].  Write
-W_ij for W_theta(f_i, ..., f_j).  Dodgson's condensation, the Wronskian
-form of the Desnanot-Jacobi identity, gives
+W_ij for W_theta(f_i, ..., f_j).  Dodgson's condensation (Proc. R. Soc.
+London 15, 1866), through the Wronskian form of the Desnanot-Jacobi
+identity, gives
 
     W_ij W_(i+1)(j-1) = W_(i,j-1) theta(W_(i+1)j) - W_(i+1)j theta(W_(i,j-1)),
 
@@ -19,12 +20,13 @@ exactly (``qseries._quotient``) by the interval two sizes down inside it.
 Run level by level, that is d(d - 1)/2 big products and (d - 1)(d - 2)/2
 quotients: 3, 6, 10, 15 products at d = 3, 4, 5, 6, against 6, 18, 60, 150
 for the Laplace expansion along row pairs.  The divisor is nonzero at its
-exponent sum: theta^i f_j leads with c_j beta_j^i, so W_theta of an interval
-leads with prod c_j times the Vandermonde product of its beta_j, and on
-_generic input the c_j are nonzero and the beta_j distinct.  Every interval is kept on its whole window, from
-the exponent sum of its columns through n steps with leading zeros kept, so
-each product and quotient is exact there and the determinant comes out on
-the natural window [sum beta_j, sum beta_j + n], which is checked.
+exponent sum: theta^i f_j leads with c_j beta_j^i, so W_theta of an
+interval leads with prod c_j times the Vandermonde product of its beta_j,
+and on _generic input the c_j are nonzero and the beta_j distinct.  Every
+interval is kept on its whole window, from the exponent sum of its columns
+through n steps with leading zeros kept, so each product and quotient is
+exact there and the determinant comes out on the natural window
+[sum beta_j, sum beta_j + n], which is checked.
 
 Which route.  On _generic input (nonzero components with distinct
 exponents, none killed by D within d - 1 steps) the derivative-row
