@@ -68,7 +68,8 @@ def modular_wronskian(F: VvmfVector) -> QSeries:
     for m in range(2, d + 1):
         cur = [_theta_minor(n, sums[i], prev[i], sums[i + 1], prev[i + 1]) for i in range(d + 1 - m)]
         # Desnanot-Jacobi: the minor of the two intervals one size down is
-        # the interval times the one two sizes down, inside it
+        # the interval times the one two sizes down, inside it; a quotient
+        # comes out content-free, a two-column minor takes one content pass
         cur = [_quotient(P, prev2[i + 1]) for i, P in enumerate(cur)] if m > 2 else [_content_free(*P) for P in cur]
         sums = [sums[i] + comps[i + m - 1].beta for i in range(d + 1 - m)]
         prev2, prev = prev, cur
