@@ -19,7 +19,6 @@ from .classify import (
 from .deriv import (
     VvmfVector,
     derivative_vector,
-    iterate_derivative,
     modular_derivative,
 )
 from .errors import (
@@ -40,14 +39,12 @@ from .frobenius import monodromy_T, solve_fundamental_system, theta_form
 from .mmde import Mmde, appendix_family, apply, indicial_polynomial, unique_operator
 from .modstruct import (
     appendix_demo,
-    cyclic_structure,
     d_iterate_generators,
     delta_divisible_combination,
     descend_by_delta,
-    dim4_structure,
-    dim5_structure,
     eis_candidates,
     module_products,
+    structure,
     vector_rank,
     weight_space_dimension,
 )

@@ -232,7 +232,7 @@ def _cmd_verify_structure(args) -> dict:
     _refuse_long_rationals(args.eta_weight, *args.r)
     m = _multiplier_from_args(args)
     rep = RepInput(args.dim, args.r, args.epsilon, m, args.assert_t_determined)
-    return modstruct._structure(rep, args.precision)
+    return modstruct.structure(rep, args.precision)
 
 
 def _add_common(p) -> None:

@@ -108,23 +108,3 @@ def _ladder(F: VvmfVector, n: int) -> list:
     for _ in range(n):
         out.append(derivative_vector(out[-1]))
     return out
-
-
-def iterate_derivative(f, k, n: int):
-    """n-fold modular derivative D_{k+2(n-1)} ... D_{k+2} D_k.
-
-    Accepts a QSeries with explicit starting weight k, or a VvmfVector
-    (k must then be None).
-    """
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError("iteration count must be an integer >= 0")
-    if isinstance(f, VvmfVector):
-        if k is not None:
-            raise PreconditionError("vector input carries its own weight")
-        return _ladder(f, n)[-1]
-    k = _rat(k)
-    out = f
-    for i in range(n):
-        out = modular_derivative(out, k + 2 * i)
-    return out
-

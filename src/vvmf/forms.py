@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from .errors import InternalCheckError, PreconditionError
-from .qseries import QSeries, _rat, _series, mul
+from .qseries import QSeries, _rat, _recurrence, _series, mul
 
 _bernoulli: list[Fraction] = [Fraction(1)]
 
@@ -66,19 +66,17 @@ def eta_power(exponent, precision: int) -> QSeries:
     e = _rat(exponent)
     if precision < 0:
         raise PreconditionError("precision must be >= 0")
-    # With e + 1 = a/b, g_m = sum_k (a k - b m) f_k g_{m-k} / (b m): the
-    # recursion runs on integers nums[j] = g_j * scale over a running scale,
-    # which takes only the part of b m that the new numerator does not
-    # cancel, so the content of (scale, *nums) stays 1.
+    # With e + 1 = a/b, g_m = sum_k (a k - b m) f_k g_{m-k} / (b m), one
+    # qseries._recurrence from g_0 = 1
     a, b = e.numerator + e.denominator, e.denominator
     f = _pentagonal(precision)
-    nums, scale = [1], 1
-    for m in range(1, precision + 1):
-        acc = sum(sign * (a * k - b * m) * nums[m - k] for k, sign in f if k <= m)
-        g = gcd(acc, b * m)
-        step = b * m // g
-        nums = [x * step for x in nums] + [acc // g]
-        scale *= step
+
+    def step(m, nums, _):
+        if not m:
+            return 1, 1
+        return sum(sign * (a * k - b * m) * nums[m - k] for k, sign in f if k <= m), b * m
+
+    nums, scale = _recurrence(precision + 1, step)
     return _series(e / 24, nums, scale)
 
 

@@ -1,22 +1,22 @@
 """Frobenius solutions of monic modular differential equations.
 
 The operator is rewritten in powers of theta = q d/dq with holomorphic
-q-series coefficients; each indicial root then seeds a recursively solved
-power series.  Roots congruent modulo 1 are rejected, so the recursion
-denominators never vanish.
+q-series coefficients; each indicial root then seeds a power series solved
+by the exact recursion ``qseries._recurrence``.  Roots congruent modulo 1
+are rejected, so the recursion denominators never vanish.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .classify import RationalAngle
 from .deriv import VvmfVector, _derive
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .mmde import Mmde, indicial_polynomial
-from .qseries import _ZERO, QSeries, _lincomb, _pair, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
+from .qseries import _ZERO, QSeries, _lincomb, _numerators_at, _pair, _recurrence, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
 
 
 def theta_form(L, precision: int) -> list:
@@ -75,25 +75,19 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
     hs = theta_form(L, precision)
     n = len(hs) - 1
     # ints[i][u] = C times the coefficient of q^u in H_i, with C the lcm of
-    # the scales, read straight off the numerators at offset beta.
+    # the scales
+    if any(h.beta.denominator != 1 or h.beta < 0 or h.window_top < precision for h in hs):
+        raise InternalCheckError("theta form left the integer grid or the window")
     c = lcm(*(h.scale for h in hs))
-    ints = []
-    for h in hs:
-        off = int(h.beta)
-        if off != h.beta or off < 0 or off + h.precision < precision:
-            raise InternalCheckError("theta form left the integer grid or the window")
-        m = c // h.scale
-        ints.append([0] * off + [x * m for x in h.nums[: precision + 1 - off]])
+    ints = [_numerators_at(h, 0, precision + 1, c) for h in hs]
     ind = indicial_polynomial(L)
     if [Fraction(row[0], c) for row in ints] != list(ind) + [Fraction(1)]:
         raise InternalCheckError("theta form constant terms disagree with indicial polynomial")
 
     # With lam = p/q, the shift value W(u, t) = C q^n sum_i H_i[u] (lam + t)^i
     # is an integer polynomial in x = p + q t, and C q^n cancels in
-    # a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s).  The recursion runs on
-    # integers A_t over a running denominator M.  Each step takes only the
-    # part of W(0, s) that the new numerator does not cancel, so from A_0 =
-    # M = 1 the content of (M, A_0, ..., A_s) stays 1.
+    # a_s = -sum_{t<s} a_t W(s-t, t) / W(0, s), one qseries._recurrence
+    # from a_0 = 1.
     comps = []
     for lam in roots:
         p, q = lam.numerator, lam.denominator
@@ -106,22 +100,15 @@ def solve_fundamental_system(L, precision=None) -> VvmfVector:
                 acc = acc * x + v
             return acc
 
-        nums = [1]
-        m = 1
-        for s in range(1, precision + 1):
-            acc = 0
-            for t, a in enumerate(nums):
-                if a:
-                    acc += a * w(s - t, t)
+        def step(s, nums, _):
+            if not s:
+                return 1, 1
             den = w(0, s)
             if den == 0:
                 raise InternalCheckError("recursion denominator vanished at a congruent shift")
-            g = gcd(acc, den)
-            den //= g
-            nums = [a * den for a in nums]
-            nums.append(-acc // g)
-            m *= den
-        comps.append(_series(lam, nums, m))
+            return -sum([a * w(s - t, t) for t, a in enumerate(nums) if a]), den
+
+        comps.append(_series(lam, *_recurrence(precision + 1, step)))
     exps = [lam - lam.__floor__() for lam in roots]
     return VvmfVector(L.weight, comps, exps)
 

@@ -2,12 +2,12 @@
 
 Generator sets from iterated modular derivatives, exact ranks of truncated
 weight spaces, the search for combinations divisible by the discriminant,
-division by the discriminant, and scripted verifications of the structure
-theorems in dimensions 1 through 5 plus the order-six one-parameter family.
-Each verification classifies its input once, refusals included, and then
-runs only its series part, on d unit steps first.  One cyclic check serves
-dimensions 1-3, the odd branch of dimension 4 and the twist class N = 0 of
-dimension 5.
+division by the discriminant, the scripted verification ``structure`` of
+the structure theorems in dimensions 1 through 5, and the order-six
+one-parameter family.  ``structure`` classifies its input once, refusals
+included, and then runs only its series part, on d unit steps first.  One
+cyclic check serves dimensions 1-3, the odd branch of dimension 4 and the
+twist class N = 0 of dimension 5.
 """
 
 from __future__ import annotations
@@ -240,32 +240,10 @@ def _descend(ladder, min_gap: int, extra=()):
     return None if combo is None else descend_by_delta(combo)
 
 
-def cyclic_structure(rep: RepInput, precision: int = 20) -> dict:
-    """Scripted verification of the cyclic structure theorem in dimensions 1-3:
-    the report on max(precision, d) unit steps, found on d when they certify it."""
-    if rep.dimension > 3:
-        raise PreconditionError("expected an input of dimension 1, 2 or 3")
-    return _structure(rep, precision)
-
-
-def dim4_structure(rep: RepInput, precision: int = 20) -> dict:
-    """Scripted verification of the four-dimensional structure theorem: the
-    report on max(precision, 4) unit steps, found on 4 when they certify it."""
-    if rep.dimension != 4:
-        raise PreconditionError("expected a four-dimensional input")
-    return _structure(rep, precision)
-
-
-def dim5_structure(rep: RepInput, precision: int = 16) -> dict:
-    """Scripted verification of the five-dimensional structure theorem: the
-    report on max(precision, 5) unit steps, found on 5 when they certify it."""
-    if rep.dimension != 5:
-        raise PreconditionError("expected a five-dimensional input")
-    return _structure(rep, precision)
-
-
-def _structure(rep: RepInput, precision: int) -> dict:
-    """The report of rep on max(precision, d) unit steps, d = rep.dimension.
+def structure(rep: RepInput, precision: int = 20) -> dict:
+    """Scripted verification of the structure theorem of rep's dimension d, 1
+    to 5: the report on max(precision, d) unit steps, found on d when they
+    certify it.
 
     _script classifies rep once.  Its series part runs on d steps first, and
     that report is returned when certified: no PrecisionError, every boolean

@@ -9,8 +9,9 @@ a single coset.
 The coefficients are stored as integer numerators over one common scale:
 c_t = nums[t] / scale.  Every operation works on these integers and
 normalizes the content once at the end, instead of building and reducing
-one Fraction per coefficient.  The canonical form is unique, so == and
-hash compare integers:
+one Fraction per coefficient; the exact recursions (quotients, eta powers,
+Frobenius series) run through ``_recurrence``, which keeps the content 1 as
+it goes.  The canonical form is unique, so == and hash compare integers:
 
 - scale > 0 and gcd(scale, *nums) == 1, so scale is the lcm of the reduced
   coefficient denominators;
@@ -170,34 +171,47 @@ def _theta_minor(n: int, beta_a: Fraction, a, beta_b: Fraction, b) -> tuple:
     return _weighted(a[0], b[0], pb * qa - pa * qb, qa * qb, n + 1), a[1] * b[1] * qa * qb
 
 
-def _quotient(P, C) -> tuple:
-    """The pair of the series quotient P / C of the pairs P = (nums, sp) and
-    C = (nums, sc), through the shorter operand.  Both start at their own
-    exponents, so C's entry at step 0 must be nonzero, or InternalCheckError
-    is raised.
+def _recurrence(n: int, step) -> tuple:
+    """The pair (nums, m) of the terms a_0, ..., a_(n-1) of an exact
+    recursion, with a_t = nums[t] / m.
 
-    With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
-    (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
-    C_(t-u) over M sp C_0.  As in the Frobenius recursion, each step takes only
-    the part of sp C_0 that the new numerator does not cancel, so from M = 1
-    the pair (A, M) keeps content 1 and M > 0: M is the lcm of the reduced
-    coefficient denominators."""
-    (pn, sp), (cn, sc) = P, C
-    if not cn[0]:
-        raise InternalCheckError("exact quotient by a series whose leading entry is zero")
-    lead = sp * cn[0]
+    step(t, nums, m) reads the terms before t and gives (acc, den) with a_t =
+    acc / (m den), den nonzero.  Each step takes into m only the part of den
+    that acc does not cancel, and rescales the earlier numerators by it, so
+    from m = 1 the pair keeps m > 0 and gcd(m, *nums) == 1: m is the lcm of
+    the reduced denominators of the terms.  A den of 1 takes no gcd."""
     nums, m = [], 1
-    for t in range(min(len(pn), len(cn))):
-        acc = pn[t] * m * sc - sp * sum([a * c for a, c in zip(nums, cn[t:0:-1]) if a])
-        g = gcd(acc, lead)
-        if lead < 0:
-            g = -g
-        den = lead // g
-        if den != 1:
+    for t in range(n):
+        acc, den = step(t, nums, m)
+        if den < 0:
+            acc, den = -acc, -den
+        g = 1 if den == 1 else gcd(acc, den)
+        if den != g:
+            den //= g
             nums = [a * den for a in nums]
             m *= den
         nums.append(acc // g)
     return nums, m
+
+
+def _quotient(P, C) -> tuple:
+    """The pair of the series quotient P / C of the pairs P = (nums, sp) and
+    C = (nums, sc), through the shorter operand, content-free.  Both start at
+    their own exponents, so C's entry at step 0 must be nonzero, or
+    InternalCheckError is raised.
+
+    With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
+    (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
+    C_(t-u) over M sp C_0: one _recurrence."""
+    (pn, sp), (cn, sc) = P, C
+    if not cn[0]:
+        raise InternalCheckError("exact quotient by a series whose leading entry is zero")
+    lead = sp * cn[0]
+
+    def step(t, nums, m):
+        return pn[t] * m * sc - sp * sum([a * c for a, c in zip(nums, cn[t:0:-1]) if a]), lead
+
+    return _recurrence(min(len(pn), len(cn)), step)
 
 
 def _pair(s: "QSeries") -> tuple:
@@ -417,7 +431,9 @@ def divide_exact(a: QSeries, b: QSeries, precision: int) -> QSeries:
             f"requested precision {precision} exceeds joint precision "
             f"{min(len(ia), len(ib)) - 1}"
         )
-    return _series(a.beta - b.beta, *_quotient((ia[: precision + 1], a.scale), (ib[: precision + 1], b.scale)))
+    # on the bare numerators, a divisor that leads with 1 takes no gcd
+    nums, m = _quotient((ia[: precision + 1], 1), (ib[: precision + 1], 1))
+    return _series(a.beta - b.beta, [x * b.scale for x in nums], m * a.scale)
 
 
 def q_derivative(a: QSeries) -> QSeries:

@@ -24,7 +24,6 @@ from vvmf import (
     delta_divisible_combination,
     descend_by_delta,
     dim5_data,
-    dim5_structure,
     divide_exact,
     eis_candidates,
     eisenstein,
@@ -36,6 +35,7 @@ from vvmf import (
     mul,
     q_derivative,
     solve_fundamental_system,
+    structure,
     unique_operator,
     weight_space_dimension,
     wronskian_factorization,
@@ -172,7 +172,7 @@ def test_a7_dim5_table():
         assert data["n_N"] == n_n
         assert HpSeries(data["k0"], data["offsets"]).numerator() == numerator
         if n == 2:
-            report = dim5_structure(rep)
+            report = structure(rep, 16)
             assert report["descended_weight"] == k_n - 4
             assert report["descends_to_k0"]
     assert seen == [0, 1, 2, 3, 4]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf import MultiplierSpec, PreconditionError, RepInput, dim4_structure, dim5_structure, unique_operator
+from vvmf import MultiplierSpec, PreconditionError, RepInput, structure, unique_operator
 from vvmf.cli import _MAX_CLI_DIGITS, _MAX_CLI_PRECISION, _MAX_CLI_WEIGHT, _MAX_CLI_WRONSKIAN, _jsonable, main
 
 from test_modstruct import seeded_cyclic_inputs, seeded_structure_inputs
@@ -148,7 +148,7 @@ def test_verify_structure_on_long_denominators(capsys, argv):
     dim, rs = int(argv[1]), argv[3].split(",")
     epsilon = -1 if "--epsilon" in argv else 1
     rep = RepInput(dim, rs, epsilon, MultiplierSpec.trivial(), t_determined_asserted=True)
-    report = (dim4_structure if dim == 4 else dim5_structure)(rep, 30)
+    report = structure(rep, 30)
     assert doc == json.loads(json.dumps(_jsonable(report)))
     assert all(v for v in report.values() if isinstance(v, bool))
 
@@ -164,7 +164,7 @@ PAST = "1" + "0" * _MAX_CLI_DIGITS  # the least number of _MAX_CLI_DIGITS + 1 di
     ["--dim", "4", "--r", "1/5,11/30,8/15,9/10", "--epsilon", "-1", "--eta-weight", "%d/%s" % (int(PAST) + 1, PAST[:-1])],
 ])
 def test_verify_structure_rational_size_cap(capsys, monkeypatch, argv):
-    monkeypatch.setattr(vvmf.cli.modstruct, "_structure", refuse)
+    monkeypatch.setattr(vvmf.cli.modstruct, "structure", refuse)
     assert main(["verify-structure"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and "beyond %d digits" % _MAX_CLI_DIGITS in err
@@ -172,7 +172,7 @@ def test_verify_structure_rational_size_cap(capsys, monkeypatch, argv):
 
 def test_verify_structure_rational_size_cap_boundary(capsys, monkeypatch):
     top = "9" * _MAX_CLI_DIGITS
-    monkeypatch.setattr(vvmf.cli.modstruct, "_structure", lambda rep, precision: {"ran": True})
+    monkeypatch.setattr(vvmf.cli.modstruct, "structure", lambda rep, precision: {"ran": True})
     argv = ["verify-structure", "--dim", "4", "--r", "1/%s,2/%s,%d/%s,0" % (top, top, int(top) - 3, top),
             "--assert-t-determined", "--eta-weight", "%d/%s" % (int(top) - 1, top)]
     assert run_json(capsys, argv) == {"ran": True}
@@ -664,5 +664,5 @@ def test_dim5_twist_class_is_solved_once(monkeypatch, capsys):
     assert rc == 0 and json.loads(out)["N"] == 0
     assert len(calls) == 1
     rep = RepInput(5, tuple(Fraction(k, 12) for k in range(1, 6)), 1, MultiplierSpec(0, 0), t_determined_asserted=True)
-    dim5_structure(rep)
+    structure(rep, 16)
     assert len(calls) == 2

@@ -1,4 +1,4 @@
-"""The modular derivative, its iterates, and weight-tagged vectors."""
+"""The modular derivative and weight-tagged vectors."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from vvmf import (
     derivative_vector,
     eisenstein,
     eta_power,
-    iterate_derivative,
     modular_derivative,
     mul,
     q_derivative,
@@ -45,6 +44,13 @@ def test_derivative_raises_leading_exponent_action():
     assert out.coefficient_at(Fraction(2, 7)) == 3 * (Fraction(2, 7) - Fraction(1, 2))
 
 
+def derive_n(f, k, n):
+    """D_{k+2(n-1)} ... D_{k+2} D_k f, one modular derivative at a time."""
+    for i in range(n):
+        f = modular_derivative(f, k + 2 * i)
+    return f
+
+
 def dkn_constants(n, k):
     """Constant terms f_{n,j}(0) of the coefficients in D_k^n = sum_j f_{n,j} (q d/dq)^j.
 
@@ -56,7 +62,7 @@ def dkn_constants(n, k):
     values = []
     for r in range(n):
         probe = QSeries(r, [Fraction(1)] + [Fraction(0)] * n)
-        values.append(iterate_derivative(probe, k, n).coefficient_at(Fraction(r)))
+        values.append(derive_n(probe, k, n).coefficient_at(Fraction(r)))
     # P(r) = sum_j f_{n,j}(0) (r)_j with (r)_j the falling factorial;
     # (r)_j vanishes for integer r < j, so the system is triangular.
     consts = []
@@ -92,16 +98,6 @@ def test_dkn_top_constant_closed_form():
     for n in (1, 2, 3, 5):
         for k in (0, 4, Fraction(2, 3)):
             assert dkn_constants(n, k)[n - 1] == Fraction(n * (5 * (n - 1) - k), 12)
-
-
-def test_iterate_derivative():
-    n = 12
-    e4 = eisenstein(4, n)
-    two = iterate_derivative(e4, 4, 2)
-    assert two == modular_derivative(modular_derivative(e4, 4), 6)
-    assert iterate_derivative(e4, 4, 0) == e4
-    with pytest.raises(PreconditionError):
-        iterate_derivative(e4, 4, -1)
 
 
 def test_vector_validation():
@@ -140,6 +136,4 @@ def test_vector_arithmetic_and_tags():
     assert lifted.components[1] == mul(g, eisenstein(4, 2))
     with pytest.raises(PreconditionError):
         v.plus(w)
-    with pytest.raises(PreconditionError):
-        iterate_derivative(v, 2, 1)
-    assert iterate_derivative(v, None, 2).weight == 6
+    assert derivative_vector(w).weight == 6

@@ -19,7 +19,7 @@ from vvmf import (
 )
 from vvmf.mmde import _theta_poly_constants
 
-from test_deriv import dkn_constants
+from test_deriv import derive_n, dkn_constants
 
 
 def test_operator_guards():
@@ -161,12 +161,12 @@ def test_apply_annihilates_delta():
 def test_apply_matches_direct_ladder():
     # residual of the Eisenstein-form operator on a non-solution is the
     # full combination, checked against an independent termwise assembly
-    from vvmf import eisenstein, iterate_derivative, mul
+    from vvmf import eisenstein, mul
 
     op = unique_operator([0, Fraction(1, 3), Fraction(2, 3)])
     f = eisenstein(4, 15)
-    direct = iterate_derivative(f, op.weight, 3)
-    direct = direct + op.alphas[0] * mul(eisenstein(4, 15), iterate_derivative(f, op.weight, 1))
+    direct = derive_n(f, op.weight, 3)
+    direct = direct + op.alphas[0] * mul(eisenstein(4, 15), derive_n(f, op.weight, 1))
     direct = direct + op.alphas[1] * mul(eisenstein(6, 15), f)
     assert apply(op, f) == direct
     assert not apply(op, f).is_zero

@@ -21,18 +21,16 @@ from vvmf import (
     VvmfVector,
     appendix_demo,
     classification,
-    cyclic_structure,
     d_iterate_generators,
     delta,
     delta_divisible_combination,
     descend_by_delta,
-    dim4_structure,
-    dim5_structure,
     eis_candidates,
     eisenstein,
     module_products,
     mul,
     solve_fundamental_system,
+    structure,
     unique_operator,
     vector_rank,
     weight_space_dimension,
@@ -169,14 +167,14 @@ def full_window_rank(gens, target, n_samples):
 
 def odd_dim4_generators():
     lams = sorted(F(n, 30) for n in (6, 11, 16, 27))
-    # the working precision of dim4_structure at its default precision
+    # the working precision of structure at its default precision
     F0 = solve_fundamental_system(unique_operator(lams), max(20, len(lams)))
     return d_iterate_generators(F0, 4)
 
 
 def dim5_n0_generators():
     lams = [F(n, 12) for n in range(1, 6)]
-    # the working precision of dim5_structure at its default precision
+    # the working precision of structure at precision 16
     F0 = solve_fundamental_system(unique_operator(lams), max(16, len(lams)))
     return d_iterate_generators(F0, 5)
 
@@ -278,7 +276,7 @@ def test_descend_keeps_zero_components():
 def test_dim4_structure_even():
     rep = RepInput(4, (F(1, 24), F(5, 24), F(7, 24), F(11, 24)), -1, TRIV,
                    t_determined_asserted=True)
-    r = dim4_structure(rep)
+    r = structure(rep)
     assert r["parity"] == "even"
     assert r["k0"] == 1 and r["offsets"] == (0, 1, 1, 2)
     assert r["numerator"] == "1+2t^2+t^4"
@@ -292,18 +290,12 @@ def test_dim4_structure_even():
 def test_dim4_structure_odd():
     rep = RepInput(4, (F(1, 5), F(11, 30), F(8, 15), F(9, 10)), -1, TRIV)
     assert rep.t_determined
-    r = dim4_structure(rep)
+    r = structure(rep)
     assert r["parity"] == "odd"
     assert r["k0"] == 3 and r["offsets"] == (0, 1, 2, 3)
     assert r["generator_weight_matches_k0"]
     assert r["dims"] == [("3", 1, 1), ("5", 1, 1), ("7", 2, 2), ("9", 3, 3), ("11", 3, 3)]
     assert r["dims_match"]
-
-
-def test_dim4_structure_needs_dim4():
-    rep = RepInput(2, (F(1, 5), F(2, 5)), 1, TRIV)
-    with pytest.raises(PreconditionError):
-        dim4_structure(rep)
 
 
 DIM5_STRUCTURE_CASES = [
@@ -325,7 +317,7 @@ DIM5_STRUCTURE_CASES = [
 @pytest.mark.parametrize("nums,den,n,flags", DIM5_STRUCTURE_CASES)
 def test_dim5_structure(nums, den, n, flags):
     rep = RepInput(5, tuple(F(x, den) for x in nums), 1, TRIV, t_determined_asserted=True)
-    r = dim5_structure(rep)
+    r = structure(rep, 16)
     assert r["N"] == n
     for flag in flags:
         assert r[flag], flag
@@ -355,7 +347,7 @@ def test_dim5_extra_vanishing_sets_the_later_combinations_apart(nums, asserted, 
     monkeypatch.setattr(modstruct, "_descend", spy)
     rep = RepInput(5, tuple(F(x, 25) for x in nums), 1, TRIV, t_determined_asserted=asserted)
     assert rep.t_determined
-    report = dim5_structure(rep)
+    report = structure(rep, 16)
     constrained = [c for c in calls if c[2]]
     assert len(constrained) == report["N"] - 2
     for ladder, min_gap, extra, G in constrained:
@@ -434,7 +426,6 @@ def count_solves(monkeypatch):
 @pytest.mark.parametrize("rep", PRECISION_INPUTS)
 def test_structure_reports_do_not_depend_on_precision(rep, monkeypatch):
     # every report is certified on d steps, and equals the one on 30 steps
-    structure = {4: dim4_structure, 5: dim5_structure}.get(rep.dimension, cyclic_structure)
     want = full_report(rep, 30)
     calls = count_solves(monkeypatch)
     assert structure(rep, 1) == structure(rep, 30) == want
@@ -471,19 +462,10 @@ def test_cyclic_structure_holds_in_dimensions_one_to_three(monkeypatch):
     for rep in seeded_cyclic_inputs(100):
         want = full_report(rep, 20)
         calls.clear()
-        report = cyclic_structure(rep)
+        report = structure(rep)
         assert calls == [rep.dimension], rep.exponents
         assert report == want, rep.exponents
         assert report["generator_weight_matches_k0"] and report["dims_match"], rep.exponents
-
-
-def test_cyclic_structure_needs_dimension_below_four(monkeypatch):
-    # the dimension refusal comes before any classification or solve
-    calls = count_solves(monkeypatch)
-    monkeypatch.setattr(modstruct, "classification", lambda rep: calls.append(rep))
-    with pytest.raises(PreconditionError, match="dimension 1, 2 or 3"):
-        cyclic_structure(ODD_DIM4)
-    assert calls == []
 
 
 def test_structure_classification_refusals_run_once(monkeypatch):
@@ -500,7 +482,7 @@ def test_structure_classification_refusals_run_once(monkeypatch):
     monkeypatch.setattr(classify, "dim5_data", spy)
     calls = count_solves(monkeypatch)
     with pytest.raises(TDeterminedRequiredError):
-        dim5_structure(rep, 30)
+        structure(rep, 30)
     assert len(classified) == 1 and calls == []
 
 
@@ -516,7 +498,7 @@ def test_structure_escalates_when_a_rank_falls_short_of_its_count(monkeypatch):
     want = full_report(ODD_DIM4, 30)
     monkeypatch.setattr(modstruct, "_product_rank", short_count)
     calls = count_solves(monkeypatch)
-    assert dim4_structure(ODD_DIM4, 30) == want
+    assert structure(ODD_DIM4, 30) == want
     assert calls == [4, 30]
 
 
@@ -532,7 +514,7 @@ def test_structure_escalates_when_the_descended_vector_vanishes_on_the_short_win
     want = full_report(EVEN_DIM4, 30)
     monkeypatch.setattr(modstruct, "descend_by_delta", vanishing)
     calls = count_solves(monkeypatch)
-    assert dim4_structure(EVEN_DIM4, 30) == want
+    assert structure(EVEN_DIM4, 30) == want
     assert want["descended_nonzero"]
     assert calls == [4, 30]
 
@@ -554,11 +536,11 @@ def test_structure_escalates_on_precision_errors_only(error, escalates, monkeypa
     want = full_report(rep, 30)
     monkeypatch.setattr(modstruct, "_shifted_system", failing)
     if escalates:
-        assert dim5_structure(rep, 30) == want
+        assert structure(rep, 30) == want
         assert calls == [5, 30]
     else:
         with pytest.raises(error):
-            dim5_structure(rep, 30)
+            structure(rep, 30)
         assert calls == [5]
 
 
@@ -566,17 +548,17 @@ def test_structure_at_d_steps_runs_once(monkeypatch):
     # with precision at most d, the short run is the full run: its report or
     # its error is returned without a second pass
     calls = count_solves(monkeypatch)
-    assert dim4_structure(ODD_DIM4, 4) == dim4_structure(ODD_DIM4, 2)
+    assert structure(ODD_DIM4, 4) == structure(ODD_DIM4, 2)
     assert calls == [4, 4]
     calls.clear()
     monkeypatch.setattr(modstruct, "_product_rank", lambda gens, target, n: (0, 1))
-    report = dim4_structure(ODD_DIM4, 3)
+    report = structure(ODD_DIM4, 3)
     assert not report["dims_match"] and calls == [4]
 
 
-@pytest.mark.parametrize("structure,rep", [(dim4_structure, ODD_DIM4), (dim5_structure, PRECISION_INPUTS[2])])
+@pytest.mark.parametrize("rep", [ODD_DIM4, PRECISION_INPUTS[2]])
 @pytest.mark.parametrize("precision", [0, -5])
-def test_structure_refuses_precision_below_one(structure, rep, precision, monkeypatch):
+def test_structure_refuses_precision_below_one(rep, precision, monkeypatch):
     calls = count_solves(monkeypatch)
     with pytest.raises(PreconditionError, match="precision must be >= 1"):
         structure(rep, precision)
@@ -590,7 +572,7 @@ def test_structure_on_twelve_digit_denominators_at_precision_200():
     rep = RepInput(5, (F(3419116618, 4243856509), F(107021490649, 165510403851),
                        F(49313937167, 110340269234), F(323105073457, 331020807702),
                        F(137733055909, 662041615404)), -1, TRIV)
-    report = dim5_structure(rep, 200)
+    report = structure(rep, 200)
     assert report["N"] == 4 and report["independent_triple"]
     assert report == full_report(rep, 30)
 
@@ -633,14 +615,8 @@ def count_ladder_steps(monkeypatch):
 ])
 def test_structure_builds_one_derivative_ladder(rep, steps, monkeypatch):
     calls = count_ladder_steps(monkeypatch)
-    (dim5_structure if rep.dimension == 5 else dim4_structure)(rep)
+    structure(rep, 16 if rep.dimension == 5 else 20)
     assert len(calls) == steps
-
-
-def test_dim5_structure_needs_dim5():
-    rep = RepInput(2, (F(1, 5), F(2, 5)), 1, TRIV)
-    with pytest.raises(PreconditionError):
-        dim5_structure(rep)
 
 
 def test_appendix_demo():

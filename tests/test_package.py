@@ -31,23 +31,19 @@ PUBLIC = [
     "appendix_family",
     "apply",
     "classification",
-    "cyclic_structure",
     "d_iterate_generators",
     "delta",
     "delta_divisible_combination",
     "derivative_vector",
     "descend_by_delta",
     "dim4_parity",
-    "dim4_structure",
     "dim5_data",
-    "dim5_structure",
     "divide_exact",
     "eis_candidates",
     "eisenstein",
     "eta_power",
     "hp_dimension",
     "indicial_polynomial",
-    "iterate_derivative",
     "minimal_admissible_set",
     "modular_derivative",
     "modular_wronskian",
@@ -58,6 +54,7 @@ PUBLIC = [
     "multiplier_values",
     "q_derivative",
     "solve_fundamental_system",
+    "structure",
     "t_determined_heuristic",
     "theta_form",
     "unique_operator",

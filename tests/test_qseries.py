@@ -14,7 +14,7 @@ from test_kernel import operands
 
 from vvmf import InternalCheckError, PrecisionError, PreconditionError, QSeries, add, divide_exact, mul, q_derivative
 from vvmf._kernel import convolve
-from vvmf.qseries import _ZERO, _numerators_at, _quotient, _series
+from vvmf.qseries import _ZERO, _numerators_at, _quotient, _recurrence, _series
 
 
 def rand_series(rng, zero_ok=True):
@@ -193,6 +193,29 @@ def test_quotient_refuses_a_zero_leading_entry():
     with pytest.raises(InternalCheckError, match="leading entry"):
         _quotient(([1, 2, 3], 1), ([0, 1, 1], 1))
     assert _quotient(([4, 2], 6), ([-2, 1], 3)) == ([-1, -1], 1)
+
+
+recursion_rows = st.lists(
+    st.tuples(st.integers(-50, 50), st.lists(st.integers(-9, 9), max_size=6), st.integers(-40, 40).filter(bool)),
+    min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(recursion_rows)
+def test_recurrence_matches_fractions(rows):
+    # the inhomogeneous recursion a_t = (b_t + sum_j c_tj a_(t-1-j)) / d_t,
+    # with integer b, c and d of either sign, against Fractions
+    want = []
+    for b, cs, d in rows:
+        want.append((b + sum(c * a for c, a in zip(cs, reversed(want)))) / Fraction(d))
+
+    def step(t, nums, m):
+        b, cs, d = rows[t]
+        return b * m + sum(c * a for c, a in zip(cs, reversed(nums))), d
+
+    nums, m = _recurrence(len(rows), step)
+    assert [Fraction(x, m) for x in nums] == want
+    assert m > 0 and gcd(m, *nums) == 1
 
 
 def test_q_derivative_termwise():
