@@ -114,10 +114,13 @@ class Mmde:
         )
 
 
-def _theta_poly_constants(m: int, k) -> list:
-    """Ascending coefficients of the degree-m indicial polynomial of D_k^m,
-    which is prod_{i<m} (x - (k + 2i)/12)."""
-    return _poly_from_roots(Fraction(k + 2 * i, 12) for i in range(m))
+def _theta_poly_constants(n: int, k) -> list:
+    """Ascending coefficients of the indicial polynomials of D_k^m for m =
+    0..n, which are the prefixes prod_{i<m} (x - (k + 2i)/12) of one product."""
+    out = [[Fraction(1)]]
+    for i in range(n):
+        out.append(_poly_mul_linear(out[-1], Fraction(k + 2 * i, 12)))
+    return out
 
 
 def indicial_polynomial(L) -> tuple:
@@ -125,13 +128,13 @@ def indicial_polynomial(L) -> tuple:
     if not isinstance(L, Mmde):
         raise PreconditionError("expected an operator")
     n, k = L.order, L.weight
-    poly = _theta_poly_constants(n, k)
+    prefixes = _theta_poly_constants(n, k)
+    poly = prefixes[n]
     for l in range(2, n + 1):
         a = L.alphas[l - 2]
         if a == 0:
             continue
-        part = _theta_poly_constants(n - l, k)
-        for i, v in enumerate(part):
+        for i, v in enumerate(prefixes[n - l]):
             poly[i] += a * v
     if poly[n] != 1:
         raise InternalCheckError("indicial polynomial must be monic")
@@ -156,10 +159,9 @@ def unique_operator(roots) -> Mmde:
     k = Fraction(12, n) * (ff[n - 1] + lam) + 5 * (n - 1)
     if k != Fraction(12) * lam / n + 1 - n:
         raise InternalCheckError("weight formula self-check failed")
-    target = _poly_from_roots(sorted(roots))
-    rem = list(target)
-    pn = _theta_poly_constants(n, k)
-    for i, v in enumerate(pn):
+    rem = _poly_from_roots(sorted(roots))
+    prefixes = _theta_poly_constants(n, k)
+    for i, v in enumerate(prefixes[n]):
         rem[i] -= v
     if rem[n] != 0 or rem[n - 1] != 0:
         raise InternalCheckError("degree drop after weight normalization failed")
@@ -168,8 +170,7 @@ def unique_operator(roots) -> Mmde:
         a = rem[n - l]
         alphas[l - 2] = a
         if a:
-            part = _theta_poly_constants(n - l, k)
-            for i, v in enumerate(part):
+            for i, v in enumerate(prefixes[n - l]):
                 rem[i] -= a * v
     if any(rem):
         raise InternalCheckError("Eisenstein recursion left a nonzero remainder")

@@ -151,6 +151,25 @@ def test_solve_precision_guard():
         solve_fundamental_system(unique_operator([1]), 0)
 
 
+@pytest.mark.parametrize("precision", [2.5, 3.0, "3", True, False, None])
+def test_precision_must_be_an_int(precision):
+    # refused before the theta-form cache is read, cold and warm, so 3.0
+    # cannot reach the entry made for 3 and True is not taken as 1
+    L = unique_operator([Fraction(1, 12), Fraction(5, 12)])
+    for warm in (False, True):
+        if warm:
+            theta_form(L, 3)
+            solve_fundamental_system(L, 3)
+        else:
+            frobenius._BLOCKS.clear()
+            frobenius._theta_table.cache_clear()
+        with pytest.raises(PreconditionError, match="integer"):
+            theta_form(L, precision)
+        if precision is not None:
+            with pytest.raises(PreconditionError, match="integer"):
+                solve_fundamental_system(L, precision)
+
+
 def test_monodromy_angles():
     op = unique_operator([Fraction(3, 2), Fraction(1, 3)])
     F = solve_fundamental_system(op, 8)

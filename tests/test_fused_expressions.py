@@ -21,10 +21,12 @@ from test_qseries import rationals, raw_series
 
 import vvmf._kernel
 import vvmf.deriv
+import vvmf.frobenius
 import vvmf.qseries
 import vvmf.wronskian
 from vvmf import (
     InternalCheckError,
+    Mmde,
     PrecisionError,
     QSeries,
     VvmfVector,
@@ -189,6 +191,75 @@ def test_appendix_residual_on_constants_is_c_delta():
     for c in (Fraction(-7, 3), Fraction(1), Fraction(5, 2)):
         residual = apply(appendix_family(APPENDIX_EXPONENTS, c), one)
         assert residual == c * delta(residual.precision) == pairwise_apply(appendix_family(APPENDIX_EXPONENTS, c), one)
+
+
+def clear_theta_caches():
+    vvmf.frobenius._BLOCKS.clear()
+    vvmf.frobenius._theta_table.cache_clear()
+
+
+def theta_operators():
+    """Unique operators, operators with arbitrary Eisenstein coefficients and
+    the appendix family with and without its cusp term, orders 1-6."""
+    ops = [appendix_family(APPENDIX_EXPONENTS, c) for c in (Fraction(-7, 3), 0)]
+    for n in range(1, 7):
+        ops.append(unique_operator([Fraction(2 * i + 1, 3 * n + 4) for i in range(n)]))
+        ops.append(Mmde(n, Fraction(5 - 3 * n, 7), [Fraction((-1) ** l * (7 * l + 3), l + 2) for l in range(n - 1)]))
+    ops.append(Mmde(3, 0, [0, Fraction(1, 5)]))
+    return ops
+
+
+def test_theta_form_matches_pairwise_cold_and_warm():
+    for L in theta_operators():
+        want = pairwise_theta_form(L, N)
+        clear_theta_caches()
+        assert theta_form(L, N) == want
+        assert theta_form(L, N) == want
+
+
+def test_theta_form_reads_prefixes_and_regrows_the_cache():
+    clear_theta_caches()
+    for L in theta_operators():
+        d = L.order
+        for n in (0, 1, d + 7, 30, 60, 5, 90):
+            assert outcome(theta_form, L, n) == outcome(pairwise_theta_form, L, n)
+        # one entry per block, at the largest precision asked so far
+        assert {len(nums) for nums, _ in vvmf.frobenius._BLOCKS.values()} == {91}
+    clear_theta_caches()
+    L = theta_operators()[-2]
+    theta_form(L, 60)
+    theta_form(L, 5)
+    assert {len(nums) for nums, _ in vvmf.frobenius._BLOCKS.values()} == {61}
+
+
+def test_theta_caches_hold_tuples():
+    clear_theta_caches()
+    for L in theta_operators():
+        theta_form(L, 12)
+    assert vvmf.frobenius._BLOCKS
+    for key, (nums, scale) in vvmf.frobenius._BLOCKS.items():
+        assert type(key) is tuple and type(nums) is tuple and type(scale) is int
+    for n in range(1, 7):
+        for row in vvmf.frobenius._theta_table(n):
+            assert type(row) is tuple
+            for key, parts in row:
+                assert type(key) is tuple and type(parts) is tuple
+                assert all(type(part) is tuple and len(part) == 3 for part in parts)
+
+
+def test_apply_makes_no_theta_form_call(monkeypatch, appendix_system):
+    # apply keeps the derivative ladder, the route independent of the theta form
+    calls = []
+    real = vvmf.frobenius.theta_form
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "vvmf" or modname.startswith("vvmf.")) and getattr(mod, "theta_form", None) is real:
+            monkeypatch.setattr(mod, "theta_form", lambda *args: calls.append(args) or real(*args))
+    L, F = appendix_system
+    for f in F.components:
+        assert apply(L, f).is_zero
+    assert calls == []
+    solve_fundamental_system(L, 8)
+    assert len(calls) == 1
 
 
 def test_theta_form_cusp_term_needs_a_window():
@@ -380,11 +451,13 @@ def count_calls(monkeypatch):
 
 def test_solve_and_apply_call_counts(monkeypatch):
     # The pairwise routes made 70 convolve calls here and 190 _series calls.
-    # The fused routes run the same products and one content pass per
-    # result: d + 1 theta-form coefficients, d components, one per residual.
+    # The fused routes make one content pass per result: d + 1 theta-form
+    # coefficients, d components, one per residual.  Each residual's ladder
+    # takes 9 convolves; the theta form takes none once its blocks are
+    # cached, and 13 to build them.
     L = OPERATORS[2]
     for f in solve_fundamental_system(L, N).components:
-        apply(L, f)  # fill the eisenstein and delta caches
+        apply(L, f)  # fill the eisenstein, delta and theta-form caches
     counts = count_calls(monkeypatch)
     F = solve_fundamental_system(L, N)
     d, n = F.d, L.order
@@ -393,8 +466,13 @@ def test_solve_and_apply_call_counts(monkeypatch):
         before = counts["_series"]
         assert apply(L, f).is_zero
         assert counts["_series"] - before == 1
-    assert counts["convolve"] == 70
+    assert counts["convolve"] == 45
     assert solved <= d + n + 2
+    clear_theta_caches()
+    counts["convolve"] = counts["_series"] = 0
+    assert solve_fundamental_system(L, N).components == F.components
+    assert counts["convolve"] == 13
+    assert counts["_series"] <= d + n + 2
 
 
 def test_only_qseries_holds_the_kernel():
