@@ -33,6 +33,14 @@ split carries over unchanged: a block that starts at index h sees the
 weight of its absolute indices, c + r*h in the low x high block and
 c - r*h in the high x low one, and the gcds factor out of every term.  So
 the weighted product is exact on any input too.
+
+E_2 product.  ``_e2_times(g, n_out)`` returns the truncated product of E_2
+and g.  With Euler's pentagonal series P = prod_{j>=1} (1 - q^j),
+E_2 = 1 + 24 theta(P)/P, so with h = g/P, an integer list as P starts with
+1, E_2 g = g + 24 theta(P) h = (1 + 24 theta) g - 24 P theta(h).  P has
+nonzero terms, each +-1, only at the O(sqrt(n)) generalized pentagonal
+numbers, so one pass per output step over them gives h and P theta(h):
+O(n^(3/2)) big additions, where the dense product takes n^2/2 big products.
 """
 
 from math import gcd
@@ -58,6 +66,40 @@ def _weighted(a, b, c, r, n_out):
     if _splits(a, b, n_out):
         return _split(a, b, n_out, (c, r))
     return _weighted_schoolbook(a, b, n_out, c, r)
+
+
+def _pentagonal(n: int) -> list:
+    """The nonzero terms (m, sign) of prod_{j>=1} (1 - q^j) through q^n, m >= 1:
+    by Euler's pentagonal theorem, sign (-1)^i at m = i(3i -+ 1)/2."""
+    out, i = [], 1
+    while i * (3 * i - 1) // 2 <= n:
+        out += [(m, (-1) ** i) for m in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if m <= n]
+        i += 1
+    return out
+
+
+def _e2_times(g, n_out):
+    """convolve(E_2, g, n_out), through Euler's pentagonal series."""
+    terms = _pentagonal(n_out - 1)
+    ng = len(g)
+    h, th, out = [], [], []
+    for t in range(n_out):
+        gt = g[t] if t < ng else 0
+        # h_t = g_t - sum P_m h_(t-m), and u = sum P_m theta(h)_(t-m)
+        acc, u = gt, 0
+        for m, sign in terms:
+            if m > t:
+                break
+            if sign > 0:
+                acc -= h[t - m]
+                u += th[t - m]
+            else:
+                acc += h[t - m]
+                u -= th[t - m]
+        h.append(acc)
+        th.append(t * acc)
+        out.append((1 + 24 * t) * gt - 24 * (th[t] + u))
+    return out
 
 
 def _splits(a, b, n_out):

@@ -1,10 +1,15 @@
 """The modular derivative and tuples of component q-expansions.
 
-D_k f = q df/dq - (k/12) E_2 f raises weight by 2.  A VvmfVector carries a
-weight tag, one q-expansion per component, and a recorded exponent per
-component; every exponent appearing in component j lies in lambda_j + Z
-with lambda_j <= beta_j.  Solvers record lambda_j as the coset
-representative in [0, 1).
+D_k f = q df/dq - (k/12) E_2 f raises weight by 2.  The E_2 product takes
+no dense convolution: with Euler's pentagonal series P = prod (1 - q^j),
+E_2 = 1 + 24 theta(P)/P, and P has O(sqrt(N)) nonzero terms on a window of
+N steps, so E_2 f = (1 + 24 theta) f - 24 P theta(f/P) costs O(N^(3/2))
+additions (``_kernel._e2_times``).
+
+A VvmfVector carries a weight tag, one q-expansion per component, and a
+recorded exponent per component; every exponent appearing in component j
+lies in lambda_j + Z with lambda_j <= beta_j.  Solvers record lambda_j as
+the coset representative in [0, 1).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .forms import eisenstein
+from ._kernel import _e2_times
 from .qseries import QSeries, _pair, _rat, _series, _sum, _theta, mul
 
 
@@ -87,8 +92,9 @@ class VvmfVector:
 def _derive(beta: Fraction, f, k: Fraction, *terms) -> tuple:
     """The pair of D_k f plus the further _sum terms, for the pair f = (nums, scale)
     of q^beta * sum_t (nums[t] / scale) q^t, on f's window, with no content pass."""
-    n = len(f[0]) - 1
-    return _sum(n, [(1, _theta(beta, f), None, 0), (-k / 12, _pair(eisenstein(2, n)), f, 0), *terms])
+    nums, scale = f
+    e2f = (_e2_times(nums, len(nums)), scale) if k else f  # _sum skips a zero c
+    return _sum(len(nums) - 1, [(1, _theta(beta, f), None, 0), (-k / 12, e2f, None, 0), *terms])
 
 
 def modular_derivative(f: QSeries, k) -> QSeries:

@@ -8,11 +8,11 @@ weight 4 and weight 6 Eisenstein series.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
+from ._kernel import _e2_times, _pentagonal
 from .errors import InternalCheckError, PreconditionError
-from .qseries import QSeries, _rat, _recurrence, _series, mul
+from .qseries import QSeries, _check_precision, _rat, _recurrence, _series, mul
 
 _bernoulli: list[Fraction] = [Fraction(1)]
 
@@ -29,29 +29,41 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli[m]
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: eisenstein(4.0, n) raises after eisenstein(4, n)
+_WIDEST = {}  # (build, *args) -> its series at the largest precision asked so far
+
+
+def _widest(precision: int, build, *args) -> QSeries:
+    """build(*args, precision) from one cache entry per (build, *args), kept
+    at the largest precision asked so far: a smaller precision returns the
+    entry's canonical truncation, a larger one rebuilds the entry."""
+    key = (build, *args)
+    s = _WIDEST.get(key)
+    if s is None or s.precision < precision:
+        s = _WIDEST[key] = build(*args, precision)
+    return s.truncated(precision)
+
+
 def eisenstein(k: int, precision: int) -> QSeries:
     """Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, sigma from one divisor sieve."""
+    # checked before the cache is read, so eisenstein(4.0, n) never reads E_4
     if not isinstance(k, int) or k < 2 or k % 2 != 0:
         raise PreconditionError("eisenstein weight must be an even integer >= 2")
-    if precision < 0:
-        raise PreconditionError("precision must be >= 0")
+    _check_precision(precision, 0)
+    return _widest(precision, _eisenstein, k)
+
+
+def _eisenstein(k: int, precision: int) -> QSeries:
+    """E_k through q^precision from the sieve; E_2 is checked against 1 +
+    24 theta(P)/P of Euler's pentagonal series P, and a mismatch is fatal."""
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         p = d ** (k - 1)
         for n in range(d, precision + 1, d):
             sigma[n] += p
     c = Fraction(-2 * k) / bernoulli(k)
-    return _series(Fraction(0), [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
-
-
-def _pentagonal(n: int) -> list:
-    """The nonzero terms (m, sign) of prod_{j>=1} (1 - q^j) through q^n, m >= 1:
-    by Euler's pentagonal theorem, sign (-1)^i at m = i(3i -+ 1)/2."""
-    out, i = [], 1
-    while i * (3 * i - 1) // 2 <= n:
-        out += [(m, (-1) ** i) for m in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if m <= n]
-        i += 1
+    out = _series(Fraction(0), [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
+    if k == 2 and list(out.nums) != _e2_times([1], precision + 1):
+        raise InternalCheckError("E_2 mismatch between the divisor sieve and the pentagonal series")
     return out
 
 
@@ -64,8 +76,7 @@ def eta_power(exponent, precision: int) -> QSeries:
     recurrence m g_m = sum_k ((e+1)k - m) f_k g_{m-k} (Knuth, TAOCP 2, 4.7).
     """
     e = _rat(exponent)
-    if precision < 0:
-        raise PreconditionError("precision must be >= 0")
+    _check_precision(precision, 0)
     # With e + 1 = a/b, g_m = sum_k (a k - b m) f_k g_{m-k} / (b m), one
     # qseries._recurrence from g_0 = 1
     a, b = e.numerator + e.denominator, e.denominator
@@ -80,15 +91,22 @@ def eta_power(exponent, precision: int) -> QSeries:
     return _series(e / 24, nums, scale)
 
 
-@lru_cache(maxsize=None, typed=True)
 def delta(precision: int) -> QSeries:
     """Discriminant form, checked against its two classical expressions.
 
     Computed as eta^24 and as (E_4^3 - E_6^2)/1728; a mismatch is fatal.
+    The check runs once per new largest precision.
     """
+    _check_precision(precision, 0)
+    return _widest(precision, _delta)
+
+
+def _delta(precision: int) -> QSeries:
+    # E_4 and E_6 one step past the window, from the sieve and not the cache,
+    # so their entries stay at the precisions callers ask and read no cut
     via_eta = eta_power(24, precision)
-    e4 = eisenstein(4, precision + 1)
-    e6 = eisenstein(6, precision + 1)
+    e4 = _eisenstein(4, precision + 1)
+    e6 = _eisenstein(6, precision + 1)
     via_eis = (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
     if via_eta != via_eis:
         raise InternalCheckError("delta mismatch between eta^24 and Eisenstein routes")
@@ -132,8 +150,7 @@ def mspace_basis(weight: int, precision: int) -> GradedFormBasis:
     if w.denominator != 1:
         raise PreconditionError("basis weight must be an integer")
     w = int(w)
-    if precision < 0:
-        raise PreconditionError("precision must be >= 0")
+    _check_precision(precision, 0)
     monomials = []
     if w >= 0 and w % 2 == 0:
         for a in range(w // 4, -1, -1):

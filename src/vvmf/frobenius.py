@@ -41,7 +41,7 @@ from .deriv import VvmfVector
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
 from .forms import delta, eisenstein
 from .mmde import Mmde, indicial_polynomial
-from .qseries import _ZERO, _lincomb, _numerators_at, _pair, _recurrence, _series, _sum, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
+from .qseries import _ZERO, _check_precision, _lincomb, _numerators_at, _pair, _recurrence, _series, _sum, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
 
 
 # 12 theta E_2l for l = 1, 2, 3 as (coefficient, factors) terms, by Ramanujan
@@ -100,15 +100,6 @@ def _block(key: tuple, precision: int) -> tuple:
             pair = tuple(nums), scale
         _BLOCKS[key] = pair
     return pair
-
-
-def _check_precision(precision, least: int) -> None:
-    """Refuse a precision that is not an int of at least ``least``, so 3.0
-    never reads the cache entries made for 3 and True is not taken as 1."""
-    if isinstance(precision, bool) or not isinstance(precision, int):
-        raise PreconditionError("precision must be an integer, not %s" % type(precision).__name__)
-    if precision < least:
-        raise PreconditionError("precision must be >= %d" % least)
 
 
 def theta_form(L, precision: int) -> list:

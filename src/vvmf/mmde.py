@@ -197,7 +197,12 @@ def appendix_family(exponents, c) -> Mmde:
 
 
 def apply(L, f: QSeries) -> QSeries:
-    """Residual series L f, computed through the derivative ladder."""
+    """Residual series L f, computed through the derivative ladder.
+
+    The ladder multiplies by E_2 through Euler's pentagonal series, so the
+    residual shares no E_2 series with the theta form, whose monomials take
+    E_2 from the divisor sieve: it stays a second route to the solutions.
+    """
     if not isinstance(L, Mmde):
         raise PreconditionError("expected an operator")
     if not isinstance(f, QSeries):

@@ -52,6 +52,15 @@ def _rat(x) -> Fraction:
     raise PreconditionError(f"not an exact rational: {x!r}")
 
 
+def _check_precision(precision, least: int) -> None:
+    """Refuse a precision that is not an int of at least ``least``, so 3.0
+    never reads a cache entry made for 3 and True is not taken as 1."""
+    if isinstance(precision, bool) or not isinstance(precision, int):
+        raise PreconditionError("precision must be an integer, not %s" % type(precision).__name__)
+    if precision < least:
+        raise PreconditionError("precision must be >= %d" % least)
+
+
 def _record_rationals(values, what: str) -> list:
     """Fractions from a JSON record's rationals, each a string or an integer;
     anything else (bools and floats included) raises PreconditionError."""

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import vvmf._kernel
+import vvmf.deriv
+import vvmf.mmde
+import vvmf.qseries
 from vvmf import (
     PreconditionError,
     QSeries,
@@ -18,6 +22,9 @@ from vvmf import (
     mul,
     q_derivative,
 )
+from vvmf.deriv import _ladder
+from vvmf.mmde import apply
+from vvmf.qseries import _pair, _sum, _theta
 
 
 def test_ramanujan_identities():
@@ -137,3 +144,43 @@ def test_vector_arithmetic_and_tags():
     with pytest.raises(PreconditionError):
         v.plus(w)
     assert derivative_vector(w).weight == 6
+
+
+def dense_derive(beta, f, k, *terms):
+    """deriv._derive with the E_2 product as one dense convolve by the
+    sieve's E_2."""
+    n = len(f[0]) - 1
+    return _sum(n, [(1, _theta(beta, f), None, 0), (-k / 12, _pair(eisenstein(2, n)), f, 0), *terms])
+
+
+def test_sparse_e2_matches_the_dense_product_on_the_corpus(solved_corpus, monkeypatch):
+    # the ladders and the residuals, on the solutions and on a neighbour's
+    # solutions, where the residual is not zero, with the pentagonal E_2
+    # product and with the dense one
+    runs = []
+    for _ in range(2):
+        out = []
+        for i, (_, L, F) in enumerate(solved_corpus):
+            other = solved_corpus[i - 1][2]
+            ladder = _ladder(F, L.order)
+            odd = [modular_derivative(f, F.weight + Fraction(1, 3)) for f in F.components]
+            residuals = [apply(L, f) for f in F.components + other.components]
+            out.append(([G.components for G in ladder], odd, residuals))
+        runs.append(out)
+        monkeypatch.setattr(vvmf.deriv, "_derive", dense_derive)
+        monkeypatch.setattr(vvmf.mmde, "_derive", dense_derive)
+    assert runs[0] == runs[1]
+    assert any(not r.is_zero for _, _, residuals in runs[0] for r in residuals)
+
+
+def test_derivative_makes_no_convolve(monkeypatch):
+    f = eta_power(Fraction(7, 3), 40) + QSeries(Fraction(7, 72), [Fraction(1, t + 2) for t in range(41)])
+    v = VvmfVector(Fraction(7, 6), [f], (Fraction(7, 72),))
+    want = _ladder(v, 5)
+    calls = []
+    for mod in (vvmf._kernel, vvmf.qseries):
+        fn = mod.convolve
+        monkeypatch.setattr(mod, "convolve", lambda *args, _fn=fn: calls.append(args) or _fn(*args))
+    assert [G.components for G in _ladder(v, 5)] == [G.components for G in want]
+    assert modular_derivative(f, Fraction(7, 6)) == want[1].components[0]
+    assert calls == []

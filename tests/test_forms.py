@@ -74,7 +74,13 @@ def test_eisenstein_guards_and_cache():
             eisenstein(bad, 5)
     with pytest.raises(PreconditionError):
         eisenstein(4, -1)
+
+
+def test_eisenstein_cache_returns_its_widest_entry(monkeypatch):
+    monkeypatch.setattr(forms, "_WIDEST", {})
     assert eisenstein(4, 10) is eisenstein(4, 10)
+    assert eisenstein(4, 6) == eisenstein(4, 10).truncated(6)
+    assert eisenstein(4, 10) is forms._WIDEST[forms._eisenstein, 4]
 
 
 def test_eisenstein_cache_is_typed():
@@ -142,15 +148,56 @@ def test_eta_power_makes_no_series_product(monkeypatch):
 def test_delta_checks_its_two_routes(monkeypatch):
     monkeypatch.setattr(forms, "eta_power", lambda e, n: binomial_eta_power(e, n) * 2)
     with pytest.raises(InternalCheckError):
-        delta.__wrapped__(6)
+        forms._delta(6)
 
 
-def test_delta_expansion_and_cache():
+def test_delta_expansion_and_cache(monkeypatch):
+    monkeypatch.setattr(forms, "_WIDEST", {})
     d = delta(5)
     assert d.beta == 1
     assert d.coeffs == (1, -24, 252, -1472, 4830, -6048)
     assert delta(5) is d
     assert eta_power(24, 5) == d
+
+
+def test_e2_checks_the_sieve_against_the_pentagonal_series(monkeypatch):
+    # one corrupted term of the sieve's E_2 is refused
+    def corrupt(beta, nums, scale):
+        nums = list(nums)
+        nums[-1] += 1
+        return _series(beta, nums, scale)
+
+    monkeypatch.setattr(forms, "_WIDEST", {})
+    monkeypatch.setattr(forms, "_series", corrupt)
+    with pytest.raises(InternalCheckError, match="E_2"):
+        eisenstein(2, 9)
+
+
+def test_form_caches_keep_one_entry_per_weight(monkeypatch):
+    # ascending precisions rebuild each entry, and the second pass reads
+    # truncations; each result is the series built at its own precision
+    monkeypatch.setattr(forms, "_WIDEST", {})
+    weights = range(2, 15, 2)
+    for _ in range(2):
+        for n in range(1, 121):
+            for k in weights:
+                assert eisenstein(k, n) == forms._eisenstein(k, n), (k, n)
+            assert delta(n) == eta_power(24, n), n
+    assert set(forms._WIDEST) == {(forms._eisenstein, k) for k in weights} | {(forms._delta,)}
+    assert all(s.precision == 120 for s in forms._WIDEST.values())
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False, None])
+def test_forms_refuse_a_precision_that_is_not_an_int(bad):
+    calls = [
+        lambda: eisenstein(4, bad),
+        lambda: eta_power(1, bad),
+        lambda: delta(bad),
+        lambda: mspace_basis(12, bad),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="precision must be an integer"):
+            call()
 
 
 def test_mspace_dimensions():

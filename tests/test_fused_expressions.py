@@ -21,6 +21,7 @@ from test_qseries import rationals, raw_series
 
 import vvmf._kernel
 import vvmf.deriv
+import vvmf.forms
 import vvmf.frobenius
 import vvmf.qseries
 import vvmf.wronskian
@@ -452,9 +453,13 @@ def count_calls(monkeypatch):
 def test_solve_and_apply_call_counts(monkeypatch):
     # The pairwise routes made 70 convolve calls here and 190 _series calls.
     # The fused routes make one content pass per result: d + 1 theta-form
-    # coefficients, d components, one per residual.  Each residual's ladder
-    # takes 9 convolves; the theta form takes none once its blocks are
-    # cached, and 13 to build them.
+    # coefficients, d components, one per residual.  Each residual takes 4
+    # convolves, one per alpha term: its ladder multiplies by E_2 through
+    # the pentagonal series, with no convolve.  The theta form takes none
+    # once its blocks are cached, and 13 to build them.  The form caches
+    # start empty, so no form is read below its entry's precision, which
+    # would take a content pass for the cut.
+    monkeypatch.setattr(vvmf.forms, "_WIDEST", {})
     L = OPERATORS[2]
     for f in solve_fundamental_system(L, N).components:
         apply(L, f)  # fill the eisenstein, delta and theta-form caches
@@ -466,7 +471,7 @@ def test_solve_and_apply_call_counts(monkeypatch):
         before = counts["_series"]
         assert apply(L, f).is_zero
         assert counts["_series"] - before == 1
-    assert counts["convolve"] == 45
+    assert counts["convolve"] == 20
     assert solved <= d + n + 2
     clear_theta_caches()
     counts["convolve"] = counts["_series"] = 0

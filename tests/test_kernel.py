@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf._kernel
-from vvmf._kernel import _SPLIT_SIZE, _split, _weighted, convolve
+from vvmf._kernel import _SPLIT_SIZE, _e2_times, _split, _weighted, convolve
+from vvmf.forms import eisenstein
 from vvmf.qseries import QSeries, mul
 
 
@@ -94,6 +95,31 @@ operands = st.one_of(st.lists(integers, max_size=40), graded_lists)
 def test_matches_double_sum_on_graded_and_plain_operands(a, b, n_out):
     assert convolve(a, b, n_out) == double_sum(a, b, n_out)
     assert _split(a, b, n_out) == double_sum(a, b, n_out)
+
+
+e2_operands = st.one_of(
+    st.integers(0, 200).flatmap(
+        lambda n: st.lists(st.one_of(st.just(0), integers), min_size=n, max_size=n)
+    ),
+    graded_lists,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(e2_operands, st.integers(0, 220))
+def test_e2_product_matches_the_dense_product(g, n_out):
+    e2 = eisenstein(2, max(n_out - 1, 0)).nums
+    assert _e2_times(g, n_out) == convolve(e2, g, n_out)
+
+
+def test_e2_product_edges():
+    e2 = list(eisenstein(2, 40).nums)
+    assert _e2_times([], 0) == [] and _e2_times([], 3) == [0, 0, 0]
+    assert _e2_times([1], 41) == e2
+    assert _e2_times([0, 0, 1], 5) == [0, 0] + e2[:3]
+    for g in ([7], [-3, 0, 5], wide(30, 2000, 6)):
+        for n_out in (0, 1, len(g) - 1, len(g), len(g) + 9):
+            assert _e2_times(g, n_out) == double_sum(e2, g, n_out)
 
 
 def weighted_sum(a, b, c, r, n_out):
