@@ -54,7 +54,8 @@ def eisenstein(k: int, precision: int) -> QSeries:
 
 def _eisenstein(k: int, precision: int) -> QSeries:
     """E_k through q^precision from the sieve; E_2 is checked against 1 +
-    24 theta(P)/P of Euler's pentagonal series P, and a mismatch is fatal."""
+    24 theta(P)/P of Euler's pentagonal series P, times 1 + q so that the
+    (1 + 24 theta) g term shows its 24 at step 1; a mismatch is fatal."""
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         p = d ** (k - 1)
@@ -62,7 +63,7 @@ def _eisenstein(k: int, precision: int) -> QSeries:
             sigma[n] += p
     c = Fraction(-2 * k) / bernoulli(k)
     out = _series(Fraction(0), [c.denominator] + [c.numerator * s for s in sigma[1:]], c.denominator)
-    if k == 2 and list(out.nums) != _e2_times([1], precision + 1):
+    if k == 2 and _e2_times([1, 1], precision + 1) != [x + y for x, y in zip(out.nums, (0,) + out.nums)]:
         raise InternalCheckError("E_2 mismatch between the divisor sieve and the pentagonal series")
     return out
 

@@ -211,10 +211,14 @@ def _quotient(P, C) -> tuple:
 
     With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
     (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
-    C_(t-u) over M sp C_0: one _recurrence."""
+    C_(t-u) over M sp C_0: one _recurrence.  sp and sc are first divided by
+    their gcd, most of sc in the Wronskian; that divides each step's
+    numerator and denominator alike, so every q_t is unchanged."""
     (pn, sp), (cn, sc) = P, C
     if not cn[0]:
         raise InternalCheckError("exact quotient by a series whose leading entry is zero")
+    g = gcd(sp, sc)
+    sp, sc = sp // g, sc // g
     lead = sp * cn[0]
 
     def step(t, nums, m):

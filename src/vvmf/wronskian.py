@@ -17,16 +17,19 @@ identity, gives
 so each consecutive interval of columns is one weighted kernel product
 (``qseries._theta_minor``) of the two intervals one size down, divided
 exactly (``qseries._quotient``) by the interval two sizes down inside it.
-Run level by level, that is d(d - 1)/2 big products and (d - 1)(d - 2)/2
-quotients: 3, 6, 10, 15 products at d = 3, 4, 5, 6, against 6, 18, 60, 150
-for the Laplace expansion along row pairs.  The divisor is nonzero at its
-exponent sum: theta^i f_j leads with c_j beta_j^i, so W_theta of an
-interval leads with prod c_j times the Vandermonde product of its beta_j,
-and on _generic input the c_j are nonzero and the beta_j distinct.  Every
-interval is kept on its whole window, from the exponent sum of its columns
-through n steps with leading zeros kept, so each product and quotient is
-exact there and the determinant comes out on the natural window
-[sum beta_j, sum beta_j + n], which is checked.
+The divisor's scale nearly divides the product's, so the quotient first
+cancels the gcd of the two scales; that divides every step's numerator and
+denominator alike, so each quotient is the same.  Run level by level, that
+is d(d - 1)/2 big products and (d - 1)(d - 2)/2 quotients: 3, 6, 10, 15
+products at d = 3, 4, 5, 6, against 6, 18, 60, 150 for the Laplace
+expansion along row pairs.  The divisor is nonzero at its exponent sum:
+theta^i f_j leads with c_j beta_j^i, so W_theta of an interval leads with
+prod c_j times the Vandermonde product of its beta_j, and on _generic
+input the c_j are nonzero and the beta_j distinct.  Every interval is kept
+on its whole window, from the exponent sum of its columns through n steps
+with leading zeros kept, so each product and quotient is exact there and
+the determinant comes out on the natural window [sum beta_j, sum beta_j +
+n], which is checked.
 
 Which route.  On _generic input (nonzero components with distinct
 exponents, none killed by D within d - 1 steps) the derivative-row

@@ -173,6 +173,21 @@ def test_e2_checks_the_sieve_against_the_pentagonal_series(monkeypatch):
         eisenstein(2, 9)
 
 
+def test_e2_check_sees_the_weight_of_the_theta_g_term(monkeypatch):
+    # 24 -> 12 in the (1 + 24 theta) g term of _e2_times: on g = [1] that term
+    # is 1 at t = 0 alone, so only a g with a second term shows the mutant
+    real = forms._e2_times
+
+    def mutant(g, n_out):
+        return [x - 12 * t * (g[t] if t < len(g) else 0) for t, x in enumerate(real(g, n_out))]
+
+    assert mutant([1], 10) == real([1], 10)
+    monkeypatch.setattr(forms, "_WIDEST", {})
+    monkeypatch.setattr(forms, "_e2_times", mutant)
+    with pytest.raises(InternalCheckError, match="E_2"):
+        eisenstein(2, 9)
+
+
 def test_form_caches_keep_one_entry_per_weight(monkeypatch):
     # ascending precisions rebuild each entry, and the second pass reads
     # truncations; each result is the series built at its own precision

@@ -189,6 +189,42 @@ def test_quotient_inverts_a_kernel_product(q, c, sq, sc):
     assert _series(_ZERO, nums, m) == _series(_ZERO, q[:n], sq)
 
 
+def long_division(pn, sp, cn, sc):
+    """The quotient of sum (pn[t] / sp) q^t by sum (cn[t] / sc) q^t through
+    the shorter operand, one Fraction per coefficient."""
+    p = [Fraction(x, sp) for x in pn]
+    c = [Fraction(x, sc) for x in cn]
+    q = []
+    for t in range(min(len(p), len(c))):
+        q.append((p[t] - sum(q[u] * c[t - u] for u in range(t))) / c[0])
+    return q
+
+
+big = st.integers(-(2**200), 2**200)
+scale = st.integers(1, 2**120)
+# the four kinds of (kind, sp, sc): sc dividing sp (the Wronskian's quotients),
+# coprime scales, equal scales, and any scales under negative leading entries
+scale_kinds = st.one_of(
+    st.builds(lambda s, k: ("divides", s * k, s), scale, scale),
+    st.builds(lambda a, b: ("coprime", a * b + 1, b), scale, scale),
+    scale.map(lambda s: ("equal", s, s)),
+    st.builds(lambda a, b: ("negative_leads", a, b), scale, scale),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(scale_kinds, st.lists(big, min_size=1, max_size=14), st.lists(big, min_size=1, max_size=14))
+def test_quotient_matches_long_division_on_every_kind_of_scale(scales, pn, cn):
+    kind, sp, sc = scales
+    assume(cn[0])
+    if kind == "negative_leads":
+        pn[0], cn[0] = -abs(pn[0]), -abs(cn[0])
+    nums, m = _quotient((pn, sp), (cn, sc))
+    # the canonical pair of the long division's coefficients
+    assert m > 0 and gcd(m, *nums) == 1
+    assert [Fraction(x, m) for x in nums] == long_division(pn, sp, cn, sc)
+
+
 def test_quotient_refuses_a_zero_leading_entry():
     with pytest.raises(InternalCheckError, match="leading entry"):
         _quotient(([1, 2, 3], 1), ([0, 1, 1], 1))

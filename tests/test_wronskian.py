@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -34,6 +35,33 @@ def two_by_two(F):
 def test_wronskian_matches_manual_two_by_two():
     F = solve_fundamental_system(unique_operator([0, Fraction(1, 2)]), 12)
     assert (modular_wronskian(F) - two_by_two(F)).is_zero
+
+
+def leibniz_theta_rows(F):
+    """det[theta^i f_j] by the Leibniz formula on Fraction coefficient lists:
+    every term is a product of one entry per column, so it starts at the
+    exponent sum; returns that sum and the coefficients through F.precision."""
+    d, n = F.d, F.precision
+    rows = [[[(f.beta + t) ** i * c for t, c in enumerate(f.coeffs)] for f in F.components] for i in range(d)]
+    det = [Fraction(0)] * (n + 1)
+    for perm in permutations(range(d)):
+        sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = [Fraction(sign)] + [Fraction(0)] * n
+        for i, j in enumerate(perm):
+            term = [sum(term[u] * rows[i][j][t - u] for u in range(t + 1)) for t in range(n + 1)]
+        det = [x + y for x, y in zip(det, term)]
+    return sum((f.beta for f in F.components), Fraction(0)), det
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_theta_row_condensation_matches_the_leibniz_determinant(solved_corpus, order):
+    # the quotients of the condensation start at order 3
+    systems = [F.truncated(14) for roots, L, F in solved_corpus if len(roots) == order][:6]
+    assert len(systems) == 6
+    for F in systems:
+        beta, det = leibniz_theta_rows(F)
+        w = modular_wronskian(F)
+        assert (w.beta, w.coeffs) == (beta, tuple(det))
 
 
 def test_factorization_of_solved_system():
