@@ -212,8 +212,10 @@ def _quotient(P, C) -> tuple:
     With p_t = P_t / sp, c_t = C_t / sc and q_u = A_u / M, the step q_t =
     (p_t - sum_{u<t} q_u c_(t-u)) / c_0 has numerator P_t M sc - sp sum_u A_u
     C_(t-u) over M sp C_0: one _recurrence.  sp and sc are first divided by
-    their gcd, most of sc in the Wronskian; that divides each step's
-    numerator and denominator alike, so every q_t is unchanged."""
+    their gcd, nearly all of sc in the Wronskian (a median of 326.5 of 327
+    bits over the seed-1 benchmark's quotients); that divides each step's
+    numerator and denominator alike, so every q_t is unchanged.  P keeps
+    its content: stripping it first measured slower."""
     (pn, sp), (cn, sc) = P, C
     if not cn[0]:
         raise InternalCheckError("exact quotient by a series whose leading entry is zero")

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vvmf import cli, wronskian
+from vvmf import cli, eta_power, wronskian
 from vvmf import (
     FactorizationError,
     InternalCheckError,
@@ -62,6 +65,65 @@ def test_theta_row_condensation_matches_the_leibniz_determinant(solved_corpus, o
         beta, det = leibniz_theta_rows(F)
         w = modular_wronskian(F)
         assert (w.beta, w.coeffs) == (beta, tuple(det))
+
+
+@st.composite
+def integer_pair_columns(draw):
+    """A _generic vector of d = 2..5 columns given as integer pairs (nums,
+    scale), on the distinct cosets j/7 + Z, so no derivative kills one; the
+    scales carry powers of 2, 3 and 7, the primes the rescale looks at."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(d + 2, d + 4))
+    cosets = draw(st.permutations(range(1, 7)))[:d]
+    comps = []
+    for j in cosets:
+        beta = Fraction(j, 7) + draw(st.integers(0, 2))
+        nums = [draw(st.integers(-50, 50).filter(bool))] + draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+        scale = 2 ** draw(st.integers(0, 40)) * 3 ** draw(st.integers(0, 20)) * 7 ** draw(st.integers(0, 10)) * draw(st.integers(1, 99))
+        comps.append(QSeries(beta, [Fraction(x, scale) for x in nums]))
+    return VvmfVector(0, comps, [f.beta for f in comps])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(integer_pair_columns(), st.integers(1, 10**9))
+def test_condensation_in_the_variable_kq_is_exact_for_every_k(F, k):
+    # q -> Kq commutes with theta, so every K undoes to the same determinant
+    beta, det = leibniz_theta_rows(F)
+    expected = wronskian._condensed(F, 1)
+    assert (expected.beta, expected.coeffs) == (beta, tuple(det))
+    for K in (2, 6, 12**5, k, wronskian._rescale_base(F)):
+        assert wronskian._condensed(F, K) == expected
+    assert modular_wronskian(F) == expected
+
+
+def test_rescale_base_reads_only_the_columns():
+    # eta powers have integer coefficients: nothing to rescale
+    etas = [eta_power(r, 20) for r in (1, 2, 5, 7)]
+    assert wronskian._rescale_base(VvmfVector(0, etas, [f.beta for f in etas])) == 1
+    # a seed-1 benchmark pool system of order 5: the scales grow like 5^(9t)
+    roots = [Fraction(5, 3), 0, Fraction(23, 20), Fraction(4, 3), Fraction(2, 5)]
+    F = solve_fundamental_system(unique_operator(roots), 24)
+    K = wronskian._rescale_base(F)
+    assert K == 5**9
+    # the same columns give the same K, in any order and as new objects
+    comps = [QSeries(f.beta, f.coeffs) for f in reversed(F.components)]
+    assert wronskian._rescale_base(VvmfVector(F.weight, comps, [f.beta for f in comps])) == K
+    assert wronskian._condensed(F, K) == wronskian._condensed(F, 1)
+
+
+def test_three_digit_denominators_give_the_vandermonde_cofactor():
+    # README's order-6 cap roots: the largest K that a capped input reaches
+    roots = [Fraction(1, q) for q in (777, 779, 781, 783, 785, 787)]
+    F = solve_fundamental_system(unique_operator(roots), 12)
+    K = wronskian._rescale_base(F)
+    assert K.bit_length() > 256
+    assert wronskian._condensed(F, K) == wronskian._condensed(F, 1)
+    # normalized components on the sorted roots, so gamma is their Vandermonde
+    assert [(f.beta, f.coeffs[0]) for f in F.components] == [(r, 1) for r in sorted(roots)]
+    gamma = prod(b - a for a, b in combinations(sorted(roots), 2))
+    e, g, g_weight = wronskian_factorization(F)
+    assert (e, g_weight) == (sum(roots), 0)
+    assert g == gamma * QSeries.one(g.precision)
 
 
 def test_factorization_of_solved_system():
