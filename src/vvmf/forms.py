@@ -2,7 +2,10 @@
 
 Eisenstein series, rational powers of the Dedekind eta function, the
 discriminant form, and monomial bases of the graded ring generated by the
-weight 4 and weight 6 Eisenstein series.
+weight 4 and weight 6 Eisenstein series.  Those monomials and the ones of
+``frobenius.theta_form`` share one cache with the Eisenstein series and the
+discriminant, ``_WIDEST``: one entry each at the largest precision asked so
+far, so its size grows with the weights asked, not with how many precisions.
 """
 
 from __future__ import annotations
@@ -41,6 +44,19 @@ def _widest(precision: int, build, *args) -> QSeries:
     if s is None or s.precision < precision:
         s = _WIDEST[key] = build(*args, precision)
     return s.truncated(precision)
+
+
+def _monomial(key: tuple, precision: int) -> QSeries:
+    """The monomial prod_(l in key) E_2l through q^precision, for a sorted
+    tuple key: a product is one cache entry, key[:-1]'s monomial times
+    E_2key[-1]."""
+    if len(key) < 2:
+        return _widest(precision, _eisenstein, 2 * key[0]) if key else QSeries.one(precision)
+    return _widest(precision, _product, key)
+
+
+def _product(key: tuple, precision: int) -> QSeries:
+    return mul(_monomial(key[:-1], precision), _monomial(key[-1:], precision))
 
 
 def eisenstein(k: int, precision: int) -> QSeries:
@@ -160,15 +176,5 @@ def mspace_basis(weight: int, precision: int) -> GradedFormBasis:
                 monomials.append((a, rem // 6))
     if len(monomials) != _classical_dimension(w):
         raise InternalCheckError("monomial count disagrees with dimension formula")
-    if not monomials:
-        return GradedFormBasis(w, (), ())
-    max_a = max(a for a, _ in monomials)
-    max_b = max(b for _, b in monomials)
-    e4_pows = [QSeries.one(precision)]
-    for _ in range(max_a):
-        e4_pows.append(mul(e4_pows[-1], eisenstein(4, precision)))
-    e6_pows = [QSeries.one(precision)]
-    for _ in range(max_b):
-        e6_pows.append(mul(e6_pows[-1], eisenstein(6, precision)))
-    expansions = [mul(e4_pows[a], e6_pows[b]) for a, b in monomials]
+    expansions = [_monomial((2,) * a + (3,) * b, precision) for a, b in monomials]
     return GradedFormBasis(w, monomials, expansions)

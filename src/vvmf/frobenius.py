@@ -20,14 +20,10 @@ polynomials in k and the alphas.  Only the coefficients depend on the
 operator; the monomial series depend on the precision alone.
 
 What is cached.  ``_theta_table(order)`` holds the integer coefficients of
-one order, and no series.  ``_BLOCKS`` holds one series per monomial, keyed
-by the sorted tuple of the l of its factors E_2l, at the largest precision
-asked so far.  A smaller precision reads a prefix, which is the
-same truncated product, and a larger one recomputes the entry.  So the
-memory is bounded by the largest order, not by the precisions a session
-asks for: orders 1-6 use 29 monomials, 0.23 MiB at N = 200.  A warm
-``theta_form`` makes one sum per coefficient and no series product; a cold
-one multiplies each monomial once, 13 products at order 5.
+one order, and no series; the monomial series are ``forms._monomial``'s.
+A warm ``theta_form`` makes one sum per coefficient and no series product;
+a cold one multiplies each monomial of two or more factors once, 13
+products at order 5.
 """
 
 from __future__ import annotations
@@ -39,9 +35,9 @@ from math import lcm
 from .classify import RationalAngle
 from .deriv import VvmfVector
 from .errors import CongruentRootsError, InternalCheckError, PreconditionError
-from .forms import delta, eisenstein
+from .forms import _monomial, delta
 from .mmde import Mmde, indicial_polynomial
-from .qseries import _ZERO, _check_precision, _lincomb, _numerators_at, _pair, _recurrence, _series, _sum, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
+from .qseries import _ZERO, _check_precision, _lincomb, _numerators_at, _pair, _recurrence, _series, mul  # noqa: F401  (perfbench's tracer tests wrap this copy)
 
 
 # 12 theta E_2l for l = 1, 2, 3 as (coefficient, factors) terms, by Ramanujan
@@ -84,24 +80,6 @@ def _theta_table(n: int) -> tuple:
     return tuple(tuple((key, tuple(parts)) for key, parts in row.items()) for row in table)
 
 
-_BLOCKS = {}  # key -> pair of the key's monomial; see the module docstring
-
-
-def _block(key: tuple, precision: int) -> tuple:
-    """The pair of the monomial prod_(l in key) E_2l, known at least through
-    q^precision."""
-    if not key:
-        return (1,), 1
-    pair = _BLOCKS.get(key)
-    if pair is None or len(pair[0]) <= precision:
-        pair = _pair(eisenstein(2 * key[-1], precision))
-        if len(key) > 1:
-            nums, scale = _sum(precision, [(1, _block(key[:-1], precision), pair, 0)])
-            pair = tuple(nums), scale
-        _BLOCKS[key] = pair
-    return pair
-
-
 def theta_form(L, precision: int) -> list:
     """Coefficients H_0..H_n with L = sum_i H_i(q) theta^i, each known to
     the requested precision."""
@@ -121,7 +99,7 @@ def theta_form(L, precision: int) -> list:
         for key, parts in row:
             c = sum([us[l] * ks[j] * x for l, j, x in parts])
             if c:
-                nums, s = _block(key, precision)
+                nums, s = _pair(_monomial(key, precision))
                 terms.append((c, (nums, s * scale), None, 0))
         if not i and L.cusp_c is not None:
             terms.append((L.cusp_c, _pair(delta(precision)), None, 1))

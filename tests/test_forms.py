@@ -8,13 +8,27 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vvmf import InternalCheckError, PreconditionError, QSeries, delta, eisenstein, eta_power, mspace_basis, mul
+import vvmf.qseries
+from vvmf import (
+    InternalCheckError,
+    PreconditionError,
+    QSeries,
+    delta,
+    eisenstein,
+    eta_power,
+    mspace_basis,
+    mul,
+    theta_form,
+    unique_operator,
+)
 from vvmf import forms
 from vvmf.forms import bernoulli
 from vvmf.qseries import _series
 
-from test_fused_expressions import count_calls
+from test_fused_expressions import count_calls, monomial_entries, theta_operators
 
 
 def binomial_eta_power(exponent, precision: int) -> QSeries:
@@ -237,3 +251,59 @@ def test_mspace_weight_guards():
         mspace_basis(Fraction(1, 2), 4)
     with pytest.raises(PreconditionError):
         mspace_basis(4, -1)
+
+
+def power_ladder_expansions(weight: int, precision: int) -> list:
+    """Reference expansions of mspace_basis: the E_4 and E_6 powers by
+    repeated mul, then one product per monomial."""
+    monomials = mspace_basis(weight, 0).monomials
+    if not monomials:
+        return []
+    e4, e6 = trial_division_eisenstein(4, precision), trial_division_eisenstein(6, precision)
+    e4_pows, e6_pows = [QSeries.one(precision)], [QSeries.one(precision)]
+    for _ in range(max(a for a, _ in monomials)):
+        e4_pows.append(mul(e4_pows[-1], e4))
+    for _ in range(max(b for _, b in monomials)):
+        e6_pows.append(mul(e6_pows[-1], e6))
+    return [mul(e4_pows[a], e6_pows[b]) for a, b in monomials]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_mspace_basis_matches_the_power_ladders(precisions):
+    # from an empty cache, then warm: the second pass reads the entries
+    # the first left at the largest precision drawn
+    want = {n: [power_ladder_expansions(w, n) for w in range(0, 61, 2)] for n in set(precisions)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_WIDEST", {})
+        for _ in range(2):
+            for n in precisions:
+                assert [list(mspace_basis(w, n).expansions) for w in range(0, 61, 2)] == want[n], n
+
+
+def test_mspace_basis_reads_the_theta_form_monomials(monkeypatch):
+    # every monomial of weight <= 10 is an entry that an order-5 theta form
+    # at the same precision already built
+    monkeypatch.setattr(forms, "_WIDEST", {})
+    real = vvmf.qseries.convolve
+    calls = []
+    monkeypatch.setattr(vvmf.qseries, "convolve", lambda *args: calls.append(args) or real(*args))
+    n = 30
+    theta_form(unique_operator([Fraction(2 * i + 1, 19) for i in range(5)]), n)
+    assert len(calls) == 13
+    calls.clear()
+    for w in range(11):
+        mspace_basis(w, n)
+    assert calls == []
+
+
+def test_form_cache_entries_after_the_theta_forms_and_bases(monkeypatch):
+    # README quotes these counts; the entries do not depend on the precision
+    monkeypatch.setattr(forms, "_WIDEST", {})
+    for L in theta_operators():
+        theta_form(L, 200)
+    assert len(monomial_entries()) == 23
+    assert len(forms._WIDEST) == 30
+    for w in range(101):
+        mspace_basis(w, 10)
+    assert len(forms._WIDEST) == 257

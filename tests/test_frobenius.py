@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from vvmf import frobenius
+from vvmf import forms, frobenius
 from vvmf import (
     CongruentRootsError,
     PreconditionError,
@@ -152,16 +152,16 @@ def test_solve_precision_guard():
 
 
 @pytest.mark.parametrize("precision", [2.5, 3.0, "3", True, False, None])
-def test_precision_must_be_an_int(precision):
-    # refused before the theta-form cache is read, cold and warm, so 3.0
-    # cannot reach the entry made for 3 and True is not taken as 1
+def test_precision_must_be_an_int(precision, monkeypatch):
+    # refused before the form cache is read, cold and warm, so 3.0 cannot
+    # reach the entry made for 3 and True is not taken as 1
     L = unique_operator([Fraction(1, 12), Fraction(5, 12)])
     for warm in (False, True):
         if warm:
             theta_form(L, 3)
             solve_fundamental_system(L, 3)
         else:
-            frobenius._BLOCKS.clear()
+            monkeypatch.setattr(forms, "_WIDEST", {})
             frobenius._theta_table.cache_clear()
         with pytest.raises(PreconditionError, match="integer"):
             theta_form(L, precision)

@@ -194,8 +194,16 @@ def test_appendix_residual_on_constants_is_c_delta():
         assert residual == c * delta(residual.precision) == pairwise_apply(appendix_family(APPENDIX_EXPONENTS, c), one)
 
 
+def monomial_entries():
+    """The form cache's monomial products, by key."""
+    return {key[1]: s for key, s in vvmf.forms._WIDEST.items() if key[0] is vvmf.forms._product}
+
+
 def clear_theta_caches():
-    vvmf.frobenius._BLOCKS.clear()
+    """Drop the theta tables and the monomial products; the Eisenstein and
+    discriminant entries stay."""
+    for key in monomial_entries():
+        del vvmf.forms._WIDEST[vvmf.forms._product, key]
     vvmf.frobenius._theta_table.cache_clear()
 
 
@@ -224,22 +232,22 @@ def test_theta_form_reads_prefixes_and_regrows_the_cache():
         d = L.order
         for n in (0, 1, d + 7, 30, 60, 5, 90):
             assert outcome(theta_form, L, n) == outcome(pairwise_theta_form, L, n)
-        # one entry per block, at the largest precision asked so far
-        assert {len(nums) for nums, _ in vvmf.frobenius._BLOCKS.values()} == {91}
+        # one entry per monomial, at the largest precision asked so far
+        assert {s.precision for s in monomial_entries().values()} == {90}
     clear_theta_caches()
     L = theta_operators()[-2]
     theta_form(L, 60)
     theta_form(L, 5)
-    assert {len(nums) for nums, _ in vvmf.frobenius._BLOCKS.values()} == {61}
+    assert {s.precision for s in monomial_entries().values()} == {60}
 
 
 def test_theta_caches_hold_tuples():
     clear_theta_caches()
     for L in theta_operators():
         theta_form(L, 12)
-    assert vvmf.frobenius._BLOCKS
-    for key, (nums, scale) in vvmf.frobenius._BLOCKS.items():
-        assert type(key) is tuple and type(nums) is tuple and type(scale) is int
+    assert monomial_entries()
+    for key, s in monomial_entries().items():
+        assert type(key) is tuple and type(s.nums) is tuple and type(s.scale) is int
     for n in range(1, 7):
         for row in vvmf.frobenius._theta_table(n):
             assert type(row) is tuple
@@ -456,9 +464,10 @@ def test_solve_and_apply_call_counts(monkeypatch):
     # coefficients, d components, one per residual.  Each residual takes 4
     # convolves, one per alpha term: its ladder multiplies by E_2 through
     # the pentagonal series, with no convolve.  The theta form takes none
-    # once its blocks are cached, and 13 to build them.  The form caches
-    # start empty, so no form is read below its entry's precision, which
-    # would take a content pass for the cut.
+    # once its monomials are cached, and 13 products to build them, each a
+    # canonical series with its own content pass.  The form cache starts
+    # empty, so no form is read below its entry's precision, which would
+    # take a content pass for the cut.
     monkeypatch.setattr(vvmf.forms, "_WIDEST", {})
     L = OPERATORS[2]
     for f in solve_fundamental_system(L, N).components:
@@ -472,12 +481,12 @@ def test_solve_and_apply_call_counts(monkeypatch):
         assert apply(L, f).is_zero
         assert counts["_series"] - before == 1
     assert counts["convolve"] == 20
-    assert solved <= d + n + 2
+    assert solved == n + 1 + d
     clear_theta_caches()
     counts["convolve"] = counts["_series"] = 0
     assert solve_fundamental_system(L, N).components == F.components
     assert counts["convolve"] == 13
-    assert counts["_series"] <= d + n + 2
+    assert counts["_series"] == n + 1 + d + 13
 
 
 def test_only_qseries_holds_the_kernel():
