@@ -257,7 +257,7 @@ def dim4_parity(rep: RepInput) -> str:
     lam = sum(rep.lambdas)
     mv = multiplier_values(rep.multiplier)
     eps_angle = RationalAngle(0 if rep.epsilon == 1 else Fraction(1, 2))
-    half_n = eps_angle + mv["angle_S2"] + RationalAngle(-Fraction(3, 2) * lam)
+    half_n = eps_angle + mv["angle_S2"] + RationalAngle(Fraction(3, 2) * lam)
     if half_n.value == 0:
         return "even"
     if half_n.value == Fraction(1, 2):

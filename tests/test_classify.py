@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,21 +171,44 @@ def test_dim4_parity_and_classification():
 
 
 def test_dim4_parity_unsolvable():
-    angles = (F(1, 5), F(11, 30), F(8, 15), F(9, 10))
-    rep = RepInput(4, angles, 1, MultiplierSpec(F(1, 3), 0), t_determined_asserted=True)
+    # RepInput requires 3 * (angle sum) integral, which puts the parity's
+    # half_n in {0, 1/2}, so every dimension 4 input has a parity; angles
+    # off that rule, which RepInput refuses, have none
+    angles = (F(1, 5), F(11, 30), F(8, 15), F(1, 10))
+    triv = MultiplierSpec.trivial()
+    with pytest.raises(PreconditionError):
+        RepInput(4, angles, 1, triv)
     with pytest.raises(ParityUnsolvableError):
-        dim4_parity(rep)
+        dim4_parity(SimpleNamespace(dimension=4, lambdas=angles, epsilon=1, multiplier=triv))
+    # at eta weight 1/3 these angles with 9/10 are the eta^(2/3)-twist of the
+    # trivial multiplier, and keep its parity
+    angles = angles[:3] + (F(9, 10),)
+    twisted = RepInput(4, angles, 1, MultiplierSpec(F(1, 3), 0), t_determined_asserted=True)
+    assert dim4_parity(twisted) == dim4_parity(RepInput(4, angles, 1, triv, True)) == "even"
 
 
 def test_dim4_refuses_t_determination_before_parity():
-    # neither T-determined by the heuristic nor parity-solvable: the
-    # T-determined refusal comes first, and asserting it exposes the parity one
+    # not T-determined by the heuristic: the T-determined refusal comes
+    # first, and asserting it gives the eta^(2/3)-twist of the series at eta
+    # weight 0
     angles = (F(8, 21), F(11, 21), F(20, 21), F(17, 21))
     m = MultiplierSpec(F(1, 3), 7)
     with pytest.raises(TDeterminedRequiredError):
         classification(RepInput(4, angles, 1, m))
-    with pytest.raises(ParityUnsolvableError):
-        classification(RepInput(4, angles, 1, m, t_determined_asserted=True))
+    untwisted = RepInput(4, angles, 1, MultiplierSpec(0, 7), t_determined_asserted=True)
+    assert classification(untwisted) == (HpSeries(3, (0, 1, 2, 3)), {"parity": "odd"})
+    asserted = RepInput(4, angles, 1, m, t_determined_asserted=True)
+    assert classification(asserted) == (HpSeries(F(10, 3), (0, 1, 2, 3)), {"parity": "odd"})
+
+
+def test_dimension_specific_data_refuse_other_dimensions():
+    triv = MultiplierSpec.trivial()
+    five = RepInput(5, tuple(F(n, 12) for n in range(1, 6)), 1, triv, True)
+    four = RepInput(4, (F(1, 24), F(5, 24), F(7, 24), F(11, 24)), -1, triv, True)
+    with pytest.raises(PreconditionError, match="four-dimensional"):
+        dim4_parity(five)
+    with pytest.raises(PreconditionError, match="five-dimensional"):
+        dim5_data(four)
 
 
 def test_dim4_requires_t_determined():

@@ -298,6 +298,11 @@ def test_rational_size_cap_boundary(capsys, tmp_path):
     assert run_json(capsys, ["hp", "--k0", past, "--offsets", "0", "--weight", past])["dim"] == 1
 
 
+def test_solve_needs_roots_or_an_operator(capsys):
+    assert main(["mmde", "solve"]) == 2
+    assert capsys.readouterr() == ("", "precondition violated: supply --roots or --operator\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["mmde", "solve", "--roots=-13/23"],
     ["wronskian", "--roots=12/5,-13/23"],
@@ -517,7 +522,7 @@ def test_classify_dim4_requires_flag(capsys):
     assert rc == 2
 
 
-# neither T-determined by the heuristic nor parity-solvable
+# not T-determined by the heuristic
 REFUSED_DIM4 = ["--dim", "4", "--r", "8/21,11/21,20/21,17/21", "--eta-weight", "1/3", "--chi", "7"]
 T_DETERMINED_REFUSAL = (
     "precondition violated: classification in dimension 4 needs the T-determined hypothesis; "
@@ -525,15 +530,23 @@ T_DETERMINED_REFUSAL = (
     "offsets {0,1,1,2} at 3*lambda-2. Re-run with the flag asserted if the representation "
     "is known to be T-determined.\n"
 )
-PARITY_REFUSAL = "precondition violated: no integer twist parity matches the given sign and multiplier\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "verify-structure"])
-@pytest.mark.parametrize("flags,refusal", [([], T_DETERMINED_REFUSAL), (["--assert-t-determined"], PARITY_REFUSAL)])
+@pytest.mark.parametrize("flags,refusal", [([], T_DETERMINED_REFUSAL)])
 def test_dim4_refuses_t_determination_before_parity(capsys, monkeypatch, command, flags, refusal):
     monkeypatch.setattr(vvmf.modstruct, "solve_fundamental_system", refuse)
     assert main([command] + REFUSED_DIM4 + flags) == 2
     assert capsys.readouterr() == ("", refusal)
+
+
+def test_dim4_asserted_t_determination_answers_with_the_twisted_series(capsys):
+    # every dimension 4 input has a parity; this one is the eta^(2/3)-twist
+    # of the odd series at eta weight 0, k0 = 3
+    for command in ("classify", "verify-structure"):
+        doc = run_json(capsys, [command] + REFUSED_DIM4 + ["--assert-t-determined"])
+        assert (doc["k0"], doc["offsets"]) == ("10/3", [0, 1, 2, 3])
+    assert doc["parity"] == "odd" and doc["generator_weight_matches_k0"] and doc["dims_match"]
 
 
 def rep_argv(command, rep):

@@ -117,6 +117,8 @@ def test_vector_validation():
         VvmfVector(2, [f], (Fraction(5, 12),))  # support below the exponent
     with pytest.raises(PreconditionError):
         VvmfVector(2, [f], (Fraction(1, 24),))  # off the exponent coset
+    with pytest.raises(PreconditionError, match="QSeries"):
+        VvmfVector(2, [[1, 2, 3]], (0,))
     gap = QSeries(0, [1, 0, 1])
     assert VvmfVector(2, [gap], (0,)).d == 1
 
@@ -143,6 +145,8 @@ def test_vector_arithmetic_and_tags():
     assert lifted.components[1] == mul(g, eisenstein(4, 2))
     with pytest.raises(PreconditionError):
         v.plus(w)
+    with pytest.raises(PreconditionError, match="matching exponents"):
+        v.plus(VvmfVector(2, [f, g], (Fraction(1, 12), Fraction(-7, 12))))
     assert derivative_vector(w).weight == 6
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf._kernel
-from vvmf._kernel import _SPLIT_SIZE, _e2_times, _split, _weighted, convolve
+from vvmf._kernel import _e2_times, _weighted, convolve
 from vvmf.forms import eisenstein
 from vvmf.qseries import QSeries, mul
 
@@ -73,12 +73,6 @@ def wide(n, bits, seed):
     return graded(nums, dens)
 
 
-def splits(a, b, n_out):
-    """Whether convolve takes the split branch on these operands."""
-    length = min(len(a), len(b), n_out)
-    return length > 0 and length * min(abs(a[0]), abs(b[0])).bit_length() >= _SPLIT_SIZE
-
-
 integers = st.integers(-(2**70), 2**70)
 graded_lists = st.integers(1, 40).flatmap(
     lambda n: st.builds(
@@ -94,7 +88,6 @@ operands = st.one_of(st.lists(integers, max_size=40), graded_lists)
 @given(operands, operands, st.integers(0, 90))
 def test_matches_double_sum_on_graded_and_plain_operands(a, b, n_out):
     assert convolve(a, b, n_out) == double_sum(a, b, n_out)
-    assert _split(a, b, n_out) == double_sum(a, b, n_out)
 
 
 e2_operands = st.one_of(
@@ -133,9 +126,7 @@ def weighted_sum(a, b, c, r, n_out):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(operands, operands, st.integers(-(10**6), 10**6), st.integers(-(10**4), 10**4), st.integers(0, 90))
 def test_weighted_matches_double_sum_on_graded_and_plain_operands(a, b, c, r, n_out):
-    want = weighted_sum(a, b, c, r, n_out)
-    assert _weighted(a, b, c, r, n_out) == want
-    assert _split(a, b, n_out, (c, r)) == want
+    assert _weighted(a, b, c, r, n_out) == weighted_sum(a, b, c, r, n_out)
 
 
 def test_weighted_is_the_antisymmetric_product():
@@ -149,18 +140,19 @@ def test_weighted_is_the_antisymmetric_product():
 
 
 def test_weighted_edges_and_both_sides_of_the_threshold():
+    # graded operands on both sides of length times leading bits 8192, the
+    # threshold of a retired half-window split, and the edges it had
     big = wide(20, 1200, 1)
     small = wide(20, 64, 2)
-    assert splits(big, big, 20) and not splits(small, small, 20)
     cases = [
         (big, big, 20),
         (small, small, 20),
         (small, big, 20),
-        # a low block that is all zero: its gcd is 0
+        # a low half that is all zero
         ([0] * 10 + big[10:], big, 20),
-        # zeros inside both blocks, and negative entries
+        # zeros inside both halves, and negative entries
         ([x if t % 3 else 0 for t, x in enumerate(big)], [-x for x in big], 20),
-        # one operand shorter than the split point h = 10
+        # one operand shorter than half the output window
         (big[:4], big, 20),
         (big, big[:1], 20),
         # n_out of 0, and past len(a) + len(b) - 1
@@ -172,21 +164,19 @@ def test_weighted_edges_and_both_sides_of_the_threshold():
     ]
     for a, b, n_out in cases:
         for c, r in ((0, 1), (-7, 12), (12345, -60), (3, 0)):
-            want = weighted_sum(a, b, c, r, n_out)
-            assert _split(a, b, n_out, (c, r)) == want
-            assert _weighted(a, b, c, r, n_out) == want
-    assert _weighted(big, big, 1, 1, -1) == _split(big, big, -1, (1, 1)) == []
+            assert _weighted(a, b, c, r, n_out) == weighted_sum(a, b, c, r, n_out)
+    assert _weighted(big, big, 1, 1, -1) == []
 
 
 def test_split_edges():
+    # the edges of a retired half-window split, on graded operands past its threshold
     big = wide(20, 1200, 1)
-    assert splits(big, big, 20)
     cases = [
-        # a low block that is all zero: its gcd is 0
+        # a low half that is all zero
         ([0] * 10 + big[10:], big, 20),
-        # zeros inside both blocks, and negative entries
+        # zeros inside both halves, and negative entries
         ([x if t % 3 else 0 for t, x in enumerate(big)], [-x for x in big], 20),
-        # one operand shorter than the split point h = 10
+        # one operand shorter than half the output window
         (big[:4], big, 20),
         (big, big[:1], 20),
         # n_out of 0, and past len(a) + len(b) - 1
@@ -197,42 +187,20 @@ def test_split_edges():
         (big, [], 5),
     ]
     for a, b, n_out in cases:
-        want = double_sum(a, b, n_out)
-        assert _split(a, b, n_out) == want
-        assert convolve(a, b, n_out) == want
-    assert convolve(big, big, -1) == _split(big, big, -1) == []
+        assert convolve(a, b, n_out) == double_sum(a, b, n_out)
+    assert convolve(big, big, -1) == []
 
 
 def test_both_sides_of_the_threshold():
-    sides = []
     # graded operands, then flat ones whose length times leading bits sits
-    # just below and at the threshold
+    # just below and at 8192, the threshold of a retired half-window split
     cases = [(wide(n, bits, n), wide(n, bits, n + 1)) for n, bits in ((4, 64), (8, 900), (24, 400), (24, 2000))]
     for n, bits in ((16, 511), (16, 512), (8, 1023), (8, 1024)):
         cases.append(([(1 << (bits - 1)) + t for t in range(n)], [-(1 << (bits - 1)) - 3 * t for t in range(n)]))
     for a, b in cases:
         n = len(a)
-        sides.append(splits(a, b, n))
         for n_out in (n - 1, n, 2 * n):
             assert convolve(a, b, n_out) == double_sum(a, b, n_out)
-    assert sides[4:] == [False, True, False, True]
-    assert False in sides[:4] and True in sides[:4]
-
-
-def test_split_branch_runs_on_graded_big_operands(monkeypatch):
-    calls = []
-
-    def spy(a, b, n_out):
-        calls.append((a, b, n_out))
-        return _split(a, b, n_out)
-
-    monkeypatch.setattr(vvmf._kernel, "_split", spy)
-    a, b = wide(24, 1500, 2), wide(24, 1500, 3)
-    assert convolve(a, b, 24) == double_sum(a, b, 24)
-    assert calls == [(a, b, 24)]
-    # small entries stay on the schoolbook loop
-    assert convolve([1, 2, 3], [4, 5, 6], 3) == [4, 13, 28]
-    assert len(calls) == 1
 
 
 def test_one_series_product_is_one_public_convolve(monkeypatch):
@@ -245,24 +213,22 @@ def test_one_series_product_is_one_public_convolve(monkeypatch):
         if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == "vvmf._kernel"
     )
     assert public == ["convolve"]
-    counts = {"convolve": 0, "_split": 0}
-    for name in counts:
-        fn = getattr(vvmf._kernel, name)
+    calls = []
+    fn = vvmf._kernel.convolve
 
-        def counting(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
 
-        for modname, mod in list(sys.modules.items()):
-            if modname == "vvmf" or modname.startswith("vvmf."):
-                for attr, obj in list(vars(mod).items()):
-                    if obj is fn:
-                        monkeypatch.setattr(mod, attr, counting)
+    for modname, mod in list(sys.modules.items()):
+        if modname == "vvmf" or modname.startswith("vvmf."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counting)
     f = QSeries(Fraction(1, 3), [Fraction(x, 10**40) for x in wide(24, 1500, 4)])
     g = QSeries(Fraction(1, 5), [Fraction(x, 10**40) for x in wide(24, 1500, 5)])
-    assert splits(f.nums, g.nums, 24)
     product = mul(f, g)
-    assert counts == {"convolve": 1, "_split": 1}
+    assert len(calls) == 1
     assert product.coeffs == tuple(
         Fraction(c, f.scale * g.scale) for c in double_sum(f.nums, g.nums, 24)
     )

@@ -59,6 +59,9 @@ def test_d_iterate_generators():
         d_iterate_generators(V, 0)
     with pytest.raises(PreconditionError):
         d_iterate_generators(V, 3)
+    zero = VvmfVector(V.weight, [V.components[0], QSeries.zero(V.precision)], V.exponents)
+    with pytest.raises(PreconditionError, match="linearly independent"):
+        d_iterate_generators(zero, 1)
 
 
 def test_d_iterate_rejects_dependent_components():

@@ -173,6 +173,11 @@ def test_divide_guards():
         divide_exact(s, QSeries.zero(3), 2)
     with pytest.raises(PrecisionError):
         divide_exact(s, QSeries(0, [1, 1]), 2)
+    # a zero dividend is zero on any window it knows, whatever the divisor's
+    zero = QSeries.zero(3)
+    assert divide_exact(zero, QSeries(0, [1, 1]), 3) == QSeries.zero(3)
+    with pytest.raises(PrecisionError):
+        divide_exact(zero, QSeries(0, [1] * 9), 4)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
